@@ -83,3 +83,22 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, attr)`` wraps ``owner.attr`` for one test and
+    returns a one-item list holding its running call count."""
+
+    def patch(owner, attr):
+        calls = [0]
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    return patch

@@ -35,18 +35,15 @@ from pyspark.sql import functions as F
 from repro.core.density import rho2_frac
 from repro.core.ratios import geometric_grid
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, DataFrameEngine, LocalEngine, max_xy_core
-from repro.graph.local import EdgeArrays
+from repro.core.xycore import CoreEngine, DataFrameEngine, engine_for, max_xy_core
+from repro.graph.local import EdgeArrays, check_no_duplicates
 from repro.graph.schema import DST, SRC
-
-
-def _engine_for(edges) -> CoreEngine:
-    return LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
 
 
 def core_approx(edges, *, engine: CoreEngine | None = None) -> DDSResult:
     """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
-    eng = engine or _engine_for(edges)
+    check_no_duplicates(edges)
+    eng = engine or engine_for(edges)
     core = max_xy_core(edges, engine=eng)
     e = core.edges
     s_set = np.unique(e.src)
@@ -142,6 +139,7 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
 
 def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
     """Baseline 2(1+ε)-approx: exact peel per ratio of a (1+ε) grid."""
+    check_no_duplicates(e)
     if e.m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios": 0})
@@ -194,6 +192,7 @@ def _bs_peel_np(e: EdgeArrays, a: float, eps: float):
 
 def bs_approx_np(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
     """Batch-peel baseline on local arrays (parity twin of the DF path)."""
+    check_no_duplicates(e)
     if e.m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios": 0})

@@ -41,9 +41,9 @@ from repro.core.approx import core_approx
 from repro.core.density import skewed2_frac
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, DataFrameEngine, LocalEngine
+from repro.core.xycore import CoreEngine, LocalEngine, engine_for, to_driver
 from repro.flow.network import solve_level
-from repro.graph.local import EdgeArrays
+from repro.graph.local import EdgeArrays, check_no_duplicates
 
 _CEIL_SLACK = 1e-9  # never round a float threshold *up* past the true value
 
@@ -124,6 +124,7 @@ def _full_graph_pair(e: EdgeArrays) -> DDSResult:
 
 def exact_dds(e: EdgeArrays) -> DDSResult:
     """Baseline Exact: solve *every* candidate ratio on the whole graph."""
+    check_no_duplicates(e)
     if e.m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios_solved": 0})
@@ -152,6 +153,7 @@ def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> tuple[float, Fraction]:
 
 def dc_exact(e: EdgeArrays) -> DDSResult:
     """Divide-and-conquer over the ratio space (no core pruning)."""
+    check_no_duplicates(e)
     if e.m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios_solved": 0})
@@ -210,9 +212,11 @@ def core_exact(
 ) -> DDSResult:
     """Core-Exact: Core-Approx seeding + core-pruned DC (the paper's best).
 
-    ``edges`` may be an EdgeArrays or an edge DataFrame; with a DataFrame
-    the core fixpoints run as Catalyst programs and only the (small)
-    pruned cores are ever collected to the driver for flow.
+    ``edges`` may be an EdgeArrays or an edge DataFrame. A DataFrame
+    within ``DRIVER_EDGE_BUDGET`` edges is collected to the driver once on
+    entry, and everything after runs locally. A larger one stays on Spark:
+    each core probe runs Catalyst rounds until its core is within the
+    budget, and only that core is collected for flow.
 
     Each ratio is probed at level ``g = ρ_best·(1−δ)``. A failed probe
     (empty level-core, or min-cut finds nothing above g) proves
@@ -226,13 +230,13 @@ def core_exact(
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    eng = engine or (
-        LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
-    )
+    check_no_duplicates(edges)
+    eng = engine or engine_for(edges)
     ns, nt, m = eng.counts(edges)
     if m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios_solved": 0})
+    edges = to_driver(edges, eng, m)
     stats: dict = {
         "algo": "core-exact",
         "ratios_solved": 0,

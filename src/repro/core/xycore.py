@@ -11,6 +11,13 @@ degree aggregations + two semijoins — the dataflow formulation the
 reproduction hint asks for. A numpy engine with identical semantics
 serves the driver-side inner loops; tests assert engine parity.
 
+There is one Spark→driver handoff rule: DataFrame rounds run only while
+the edge set holds more than ``DRIVER_EDGE_BUDGET`` edges. A state
+within the budget is collected to the driver once and finished with the
+numpy fixpoint; from then on it stays an ``EdgeArrays``. A Spark round
+costs ~0.4 s of job latency however few edges it touches, while a numpy
+round over the whole budget costs less than that.
+
 The module also implements the search used by Core-Approx:
 ``y_max(x)`` (the largest y with nonempty [x,y]-core) is non-increasing
 in x, so the exact maximizer of ``x·y_max(x)`` is found by an ascending
@@ -28,6 +35,13 @@ from pyspark.sql import functions as F
 
 from repro.graph.local import EdgeArrays, collect_edges, empty_edges
 from repro.graph.schema import DST, SRC
+
+# Largest edge set worked on at the driver: 1M int64 (src, dst) pairs are
+# 16 MB, and a numpy fixpoint round over them is cheaper than one Spark
+# round of job latency. DataFrame rounds run only above it.
+DRIVER_EDGE_BUDGET = 1_000_000
+# Cap on Spark rounds per fixpoint; each round but the last removes edges.
+MAX_DF_ROUNDS = 10_000
 
 # ---------------------------------------------------------------------------
 # engines
@@ -82,23 +96,27 @@ class LocalEngine:
         return state
 
 
-class DataFrameEngine:
-    """Catalyst batch-fixpoint engine; state = edge DataFrame.
+class DataFrameEngine(LocalEngine):
+    """Catalyst batch-fixpoint engine; state = edge DataFrame or EdgeArrays.
 
     Each round is two aggregations + two semijoins, with an eager
     ``localCheckpoint`` to cut lineage (iterative DataFrame plans grow
-    exponentially otherwise) and a count to detect the fixpoint.
+    exponentially otherwise) and a count to detect the fixpoint. Rounds
+    run only while the state is above ``DRIVER_EDGE_BUDGET``; a nonempty
+    state within it is collected and finished by the numpy fixpoint, and
+    ``EdgeArrays`` states get the ``LocalEngine`` methods.
     """
 
-    def __init__(self, max_rounds: int = 10_000) -> None:
-        self.max_rounds = max_rounds
-
-    def core(self, state: DataFrame, x: int, y: int) -> DataFrame:
+    def core(self, state, x: int, y: int):
+        if isinstance(state, EdgeArrays):
+            return super().core(state, x, y)
         e = state
         m_prev = e.count()
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_DF_ROUNDS):
             if m_prev == 0:
                 return e
+            if m_prev <= DRIVER_EDGE_BUDGET:
+                return super().core(collect_edges(e), x, y)
             s_ok = (
                 e.groupBy(SRC).agg(F.count(F.lit(1)).alias("d"))
                 .filter(F.col("d") >= x)
@@ -122,10 +140,14 @@ class DataFrameEngine:
             m_prev = m_new
         raise RuntimeError("xy-core fixpoint did not converge (impossible)")
 
-    def m(self, state: DataFrame) -> int:
+    def m(self, state) -> int:
+        if isinstance(state, EdgeArrays):
+            return super().m(state)
         return state.count()
 
-    def counts(self, state: DataFrame) -> tuple[int, int, int]:
+    def counts(self, state) -> tuple[int, int, int]:
+        if isinstance(state, EdgeArrays):
+            return super().counts(state)
         row = state.agg(
             F.countDistinct(SRC).alias("ns"),
             F.countDistinct(DST).alias("nt"),
@@ -133,30 +155,56 @@ class DataFrameEngine:
         ).collect()[0]
         return row["ns"], row["nt"], row["m"]
 
-    def max_out_degree(self, state: DataFrame) -> int:
+    def max_out_degree(self, state) -> int:
+        if isinstance(state, EdgeArrays):
+            return super().max_out_degree(state)
+        return self._max_degree(state, SRC)
+
+    def max_in_degree(self, state) -> int:
+        if isinstance(state, EdgeArrays):
+            return super().max_in_degree(state)
+        return self._max_degree(state, DST)
+
+    @staticmethod
+    def _max_degree(state: DataFrame, col: str) -> int:
         row = (
-            state.groupBy(SRC).agg(F.count(F.lit(1)).alias("d"))
+            state.groupBy(col).agg(F.count(F.lit(1)).alias("d"))
             .agg(F.max("d").alias("mx"))
             .collect()[0]
         )
         return row["mx"] or 0
 
-    def max_in_degree(self, state: DataFrame) -> int:
-        row = (
-            state.groupBy(DST).agg(F.count(F.lit(1)).alias("d"))
-            .agg(F.max("d").alias("mx"))
-            .collect()[0]
-        )
-        return row["mx"] or 0
-
-    def to_local(self, state: DataFrame) -> EdgeArrays:
+    def to_local(self, state) -> EdgeArrays:
+        if isinstance(state, EdgeArrays):
+            return state
         return collect_edges(state)
 
 
+def engine_for(edges) -> CoreEngine:
+    """The default engine for ``edges``: by its type, EdgeArrays or DataFrame."""
+    return LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
+
+
+def to_driver(edges, eng: CoreEngine, m: int | None = None):
+    """``edges`` collected to the driver if it is a DataFrame of at most
+    ``DRIVER_EDGE_BUDGET`` edges (``m``, when the caller has counted
+    them), else unchanged: the once-on-entry form of the handoff rule."""
+    if isinstance(edges, EdgeArrays):
+        return edges
+    if m is None:
+        m = eng.m(edges)
+    return eng.to_local(edges) if m <= DRIVER_EDGE_BUDGET else edges
+
+
 def xy_core(edges, x: int, y: int, *, engine: CoreEngine | None = None):
-    """The [x,y]-core of ``edges`` (EdgeArrays or DataFrame), same type out."""
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
-    return eng.core(edges, x, y)
+    """The [x,y]-core of ``edges`` (EdgeArrays or DataFrame).
+
+    An ``EdgeArrays`` input gives an ``EdgeArrays`` core. A DataFrame input
+    gives a DataFrame when its Spark rounds reach the fixpoint, or the empty
+    core, with the state still above ``DRIVER_EDGE_BUDGET``; a nonempty
+    state within the budget is collected and its core is an ``EdgeArrays``.
+    """
+    return (engine or engine_for(edges)).core(edges, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +229,17 @@ def y_max_for_x(edges, x: int, *, engine: CoreEngine | None = None, stats: dict 
     every probe runs inside the previously found nonempty core, so probes
     get cheaper as y grows. Returns ``(0, empty)`` when even [x,1] is empty.
     """
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
-    st = stats if stats is not None else {}
+    eng = engine or engine_for(edges)
+    y, core, _ = _y_max(edges, x, eng, stats if stats is not None else {})
+    return y, core
+
+
+def _y_max(edges, x: int, eng: CoreEngine, st: dict):
+    """``y_max_for_x``, also returning the [x,1]-core it searched in."""
     base = eng.core(edges, x, 1)
     st["core_probes"] = st.get("core_probes", 0) + 1
     if eng.m(base) == 0:
-        return 0, base
+        return 0, base, base
     lo, lo_core = 1, base  # invariant: [x,lo]-core nonempty, held in lo_core
     hi = eng.max_in_degree(base)  # [x,y]-core empty for y > max in-degree
     while lo < hi:
@@ -197,7 +250,7 @@ def y_max_for_x(edges, x: int, *, engine: CoreEngine | None = None, stats: dict 
             hi = mid - 1
         else:
             lo, lo_core = mid, probe
-    return lo, lo_core
+    return lo, lo_core, base
 
 
 def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
@@ -208,15 +261,27 @@ def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
     skipped when that bound cannot beat the best product found. Geometric
     seeding (x = 1,2,4,…) establishes a good incumbent early so the
     ascending scan skips almost everything on skewed graphs.
+
+    The [x,1]-cores nest ([x,1]-core ⊆ [x',1]-core for x' < x, and the
+    maximal core of any superset of it is itself), so each x is searched
+    from the [x',1]-core of the largest evaluated x' < x, not the full
+    graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
+    once on entry.
     """
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
+    eng = engine or engine_for(edges)
+    edges = to_driver(edges, eng)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub = eng.max_out_degree(edges)
     best: XYCoreResult | None = None
     ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
+    bases: dict = {}  # evaluated x -> its [x,1]-core (engine state)
 
     def evaluate(x: int) -> int:
-        y, core = y_max_for_x(edges, x, engine=eng, stats=stats)
+        below = sorted(e for e in bases if e < x)
+        start = bases[below[-1]] if below else edges
+        for e in below[:-1]:  # later x start from below[-1] or above
+            del bases[e]
+        y, core, bases[x] = _y_max(start, x, eng, stats)
         stats["x_evaluated"] += 1
         ymax_at[x] = y
         nonlocal best

@@ -73,6 +73,22 @@ def dedup(e: EdgeArrays) -> EdgeArrays:
     return EdgeArrays(uniq[:, 0].copy(), uniq[:, 1].copy())
 
 
+def check_no_duplicates(edges) -> None:
+    """Raise ``ValueError`` if an ``EdgeArrays`` holds a (src, dst) pair twice.
+
+    Density counts a pair once, so a repeated pair inflates |E(S,T)| and
+    every algorithm's answer. The algorithms call this on entry rather than
+    ``EdgeArrays`` on construction, which every fixpoint round does. Edge
+    DataFrames pass unchecked: ``normalize_edges`` deduplicates them.
+    """
+    if not isinstance(edges, EdgeArrays) or edges.m < 2:
+        return
+    order = np.lexsort((edges.dst, edges.src))
+    s, d = edges.src[order], edges.dst[order]
+    if np.any((s[1:] == s[:-1]) & (d[1:] == d[:-1])):
+        raise ValueError("duplicate (src, dst) edges; remove them with dedup()")
+
+
 def collect_edges(edges: DataFrame) -> EdgeArrays:
     """Mirror an edge DataFrame to the driver (Arrow path via toPandas)."""
     pdf = edges.select(SRC, DST).toPandas()

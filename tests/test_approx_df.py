@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import xycore
 from repro.core.approx import bs_approx_df, bs_approx_np, core_approx
 from repro.core.exact import core_exact
 from repro.graph import generators as gen
@@ -19,6 +20,14 @@ def test_core_approx_df_parity(spark, graph_pair):
     assert a.rho2 == b.rho2
     assert set(a.S.tolist()) == set(b.S.tolist())
     assert set(a.T.tolist()) == set(b.T.tolist())
+
+
+def test_core_approx_small_df_collects_once(spark, graph_pair, count_calls):
+    """A DataFrame within the driver budget is handed off once, on entry."""
+    local, df = graph_pair
+    collects = count_calls(xycore, "collect_edges")
+    assert core_approx(df).rho2 == core_approx(local).rho2
+    assert collects[0] == 1
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0])

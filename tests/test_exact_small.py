@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.approx import bs_approx_np, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import (
     _thresholds,
@@ -12,7 +13,7 @@ from repro.core.exact import (
     solve_ratio,
 )
 from repro.graph import generators as gen
-from repro.graph.local import EdgeArrays, empty_edges
+from repro.graph.local import EdgeArrays, dedup, empty_edges
 
 
 def _random_tiny(seed):
@@ -155,3 +156,23 @@ def test_solve_ratio_returns_fixed_ratio_optimum(seed):
                     best = max(best, skewed2_frac(m, ks, kt, i, j))
     assert sol is not None
     assert sol.skewed2 == best
+
+
+def _repeated_edges():
+    """(0,5) three times: counted once, the densest pair has ρ = 1.5."""
+    return EdgeArrays(np.array([0, 0, 0, 1, 1]), np.array([5, 5, 5, 5, 6]))
+
+
+@pytest.mark.parametrize(
+    "algo", [core_approx, core_exact, dc_exact, exact_dds, ks_approx, bs_approx_np]
+)
+def test_algorithms_reject_duplicate_edges(algo):
+    with pytest.raises(ValueError, match="duplicate"):
+        algo(_repeated_edges())
+
+
+def test_duplicate_reproducer_after_dedup_matches_bruteforce():
+    e = dedup(_repeated_edges())
+    assert brute_force_dds(e).rho == 1.5
+    for algo in (core_exact, dc_exact, exact_dds):
+        assert algo(e).rho2 == brute_force_dds(e).rho2

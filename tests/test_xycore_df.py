@@ -1,7 +1,14 @@
-"""DataFrame engine parity with the local engine for [x,y]-cores."""
+"""DataFrame engine parity with the local engine for [x,y]-cores.
+
+Tests that inspect the DataFrame an engine returns set the driver budget
+to 0, so every round runs on Spark; the mixed-path test sets it to half
+the graph, so a probe starts on Spark and finishes on the driver.
+"""
 import numpy as np
 import pytest
 
+from repro.core import xycore
+from repro.core.exact import core_exact
 from repro.core.xycore import (
     DataFrameEngine,
     LocalEngine,
@@ -10,7 +17,7 @@ from repro.core.xycore import (
     y_max_for_x,
 )
 from repro.graph import generators as gen
-from repro.graph.local import collect_edges
+from repro.graph.local import EdgeArrays, collect_edges
 from repro.oracle import assert_equivalent
 
 
@@ -24,18 +31,31 @@ def _pairs(e):
     return set(zip(e.src.tolist(), e.dst.tolist()))
 
 
+@pytest.fixture
+def df_rounds(count_calls, graph_pair):
+    """Running count of DataFrame fixpoint rounds (one checkpoint each)."""
+    return count_calls(type(graph_pair[1]), "localCheckpoint")
+
+
+@pytest.fixture
+def spark_only(monkeypatch):
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", 0)
+
+
 @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (3, 1), (1, 4), (2, 5)])
-def test_xy_core_parity(spark, graph_pair, x, y):
+def test_xy_core_parity(spark, graph_pair, spark_only, df_rounds, x, y):
     local, df = graph_pair
     c_local = xy_core(local, x, y, engine=LocalEngine())
     c_df = collect_edges(xy_core(df, x, y, engine=DataFrameEngine()))
     assert _pairs(c_local) == _pairs(c_df)
+    assert df_rounds[0] >= 1
 
 
-def test_xy_core_df_empty_result(spark, graph_pair):
+def test_xy_core_df_empty_result(spark, graph_pair, spark_only, df_rounds):
     _, df = graph_pair
     c = xy_core(df, 1000, 1000, engine=DataFrameEngine())
     assert c.count() == 0
+    assert df_rounds[0] >= 1
 
 
 def test_df_engine_counts(spark, graph_pair):
@@ -71,10 +91,11 @@ def test_max_xy_core_parity(spark, graph_pair):
     assert _pairs(b_l.edges) == _pairs(b_d.edges)
 
 
-def test_xy_core_df_degree_invariant_via_oracle(spark, graph_pair):
+def test_xy_core_df_degree_invariant_via_oracle(spark, graph_pair, spark_only, df_rounds):
     """Every surviving source has >= x out-edges — checked in SQL."""
     _, df = graph_pair
     core = xy_core(df, 2, 3, engine=DataFrameEngine())
+    assert df_rounds[0] >= 1
     from pyspark.sql import functions as F
 
     viol = (
@@ -86,3 +107,27 @@ def test_xy_core_df_degree_invariant_via_oracle(spark, graph_pair):
         "SELECT src, count(*) d FROM c GROUP BY src HAVING count(*) < 2",
         c=core,
     )
+
+
+def test_mixed_path_parity(spark, graph_pair, monkeypatch, count_calls, df_rounds):
+    """Budget m/2: probes start as Spark rounds and finish on the driver."""
+    local, df = graph_pair
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m // 2)
+    collects = count_calls(xycore, "collect_edges")
+
+    c_local = xy_core(local, 4, 4, engine=LocalEngine())
+    assert c_local.m <= local.m // 2
+    c_df = xy_core(df, 4, 4, engine=DataFrameEngine())
+    assert isinstance(c_df, EdgeArrays)
+    assert _pairs(c_df) == _pairs(c_local)
+    assert df_rounds[0] >= 1 and collects[0] == 1
+
+    b_l = max_xy_core(local, engine=LocalEngine())
+    b_d = max_xy_core(df, engine=DataFrameEngine())
+    assert (b_l.x, b_l.y) == (b_d.x, b_d.y)
+    assert _pairs(b_l.edges) == _pairs(b_d.edges)
+    assert b_l.stats == b_d.stats
+
+    rounds, n_collects = df_rounds[0], collects[0]
+    assert core_exact(df).rho2 == core_exact(local).rho2
+    assert df_rounds[0] > rounds and collects[0] > n_collects
