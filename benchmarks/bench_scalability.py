@@ -2,7 +2,7 @@
 import pytest
 
 from repro import datasets
-from repro.core.approx import bs_approx_np, core_approx
+from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
 
 SCALES = [0, 1, 2]
@@ -20,7 +20,7 @@ def test_bench_scal_core_approx(benchmark, scale):
 def test_bench_scal_bs_approx(benchmark, scale):
     benchmark.group = "T5-scalability"
     e = datasets.scaled_powerlaw(scale)
-    r = benchmark.pedantic(bs_approx_np, args=(e,), kwargs={"eps": 0.5}, rounds=1, iterations=1)
+    r = benchmark.pedantic(bs_approx, args=(e,), kwargs={"eps": 0.5}, rounds=1, iterations=1)
     benchmark.extra_info.update({"scale": scale, "m": e.m, "algo": "BS-Approx", "rho": r.rho})
 
 

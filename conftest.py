@@ -102,3 +102,17 @@ def count_calls(monkeypatch):
         return calls
 
     return patch
+
+
+@pytest.fixture
+def spark_only(monkeypatch):
+    """Driver edge budget 0: every fixpoint and peel round runs on Spark."""
+    from repro.core import xycore
+
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", 0)
+
+
+@pytest.fixture
+def df_rounds(count_calls, spark):
+    """Running count of DataFrame rounds (one ``localCheckpoint`` each)."""
+    return count_calls(type(spark.range(0)), "localCheckpoint")

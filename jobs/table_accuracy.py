@@ -12,7 +12,7 @@ import argparse
 from _util import get_spark, print_table
 
 from repro import datasets
-from repro.core.approx import bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.exact import core_exact
 
 DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-pl", "m-plant"]
@@ -27,7 +27,7 @@ def run(spark, names: list[str], eps: float) -> list[dict]:
         for label, res in [
             ("core", core_approx(e)),
             ("ks", ks_approx(e, eps=eps)),
-            ("bs", bs_approx_np(e, eps=eps)),
+            ("bs", bs_approx(e, eps=eps)),
         ]:
             ratio = res.rho / opt.rho if opt.rho else 1.0
             row[f"{label}_acc"] = round(ratio, 4)

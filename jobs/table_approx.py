@@ -3,9 +3,9 @@
 Usage: spark-submit jobs/table_approx.py [--sets m-er,...] [--eps 0.5]
        [--engine local|df]
 
-``--engine df`` runs BS-Approx and Core-Approx as Catalyst programs
-(what the paper's distributed story corresponds to); local is the
-driver-kernel twin with identical results (tests assert parity).
+``--engine df`` hands BS-Approx and Core-Approx an edge DataFrame (Spark
+rounds above the driver edge budget, numpy below it); local hands them
+numpy arrays. Results are identical (tests assert parity).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import argparse
 from _util import get_spark, print_table, timed
 
 from repro import datasets
-from repro.core.approx import bs_approx_df, bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.graph.generators import to_spark
 from repro.graph.local import collect_edges
 
@@ -30,6 +30,7 @@ def run(spark, names: list[str], eps: float, engine: str) -> list[dict]:
         else:
             e = datasets.load_local(name)
             df = to_spark(spark, e).cache() if engine == "df" else None
+        data = df if engine == "df" else e
         row: dict = {"dataset": name, "m": e.m}
         t: dict = {}
         with timed(t):
@@ -37,11 +38,11 @@ def run(spark, names: list[str], eps: float, engine: str) -> list[dict]:
         row["ks_s"], row["ks_rho"] = t["seconds"], round(r_ks.rho, 3)
         t = {}
         with timed(t):
-            r_bs = bs_approx_df(df, eps=eps) if engine == "df" else bs_approx_np(e, eps=eps)
+            r_bs = bs_approx(data, eps=eps)
         row["bs_s"], row["bs_rho"] = t["seconds"], round(r_bs.rho, 3)
         t = {}
         with timed(t):
-            r_core = core_approx(df if engine == "df" else e)
+            r_core = core_approx(data)
         row["core_s"], row["core_rho"] = t["seconds"], round(r_core.rho, 3)
         row["core_xy"] = f"[{r_core.stats['x']},{r_core.stats['y']}]"
         if row["core_s"] > 0:

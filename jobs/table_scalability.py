@@ -11,7 +11,7 @@ import argparse
 from _util import get_spark, print_table, timed
 
 from repro import datasets
-from repro.core.approx import bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.exact import core_exact
 
 
@@ -26,7 +26,7 @@ def run(spark, scales: list[int], eps: float, with_exact: bool = True) -> list[d
         row["core_approx_s"], row["core_rho"] = t["seconds"], round(r.rho, 3)
         t = {}
         with timed(t):
-            bs_approx_np(e, eps=eps)
+            bs_approx(e, eps=eps)
         row["bs_s"] = t["seconds"]
         t = {}
         with timed(t):

@@ -18,6 +18,8 @@
   negations gives 2m > (1+ε)·2m — contradiction — so every round makes
   progress and the peel finishes in O(log n) rounds, which is what makes
   it a dataflow algorithm. 2(1+ε)²-approximation (grid × peel losses).
+  Its rounds run on Spark while the state is above the driver budget
+  and in numpy below it, like the [x,y]-core fixpoint's.
 
 Every algorithm reports the best snapshot under the *true* density ρ
 (exact Fraction comparisons), which only tightens the guarantees since
@@ -29,22 +31,18 @@ import heapq
 from math import sqrt
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.density import rho2_frac
 from repro.core.ratios import geometric_grid
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, DataFrameEngine, engine_for, max_xy_core
+from repro.core.xycore import degree_round, engine_for, max_xy_core, to_driver, to_local
 from repro.graph.local import EdgeArrays, check_no_duplicates
-from repro.graph.schema import DST, SRC
 
 
-def core_approx(edges, *, engine: CoreEngine | None = None) -> DDSResult:
+def core_approx(edges) -> DDSResult:
     """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
     check_no_duplicates(edges)
-    eng = engine or engine_for(edges)
-    core = max_xy_core(edges, engine=eng)
+    core = max_xy_core(edges)
     e = core.edges
     s_set = np.unique(e.src)
     t_set = np.unique(e.dst)
@@ -157,121 +155,58 @@ def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
 
 
 # ---------------------------------------------------------------------------
-# BS-Approx: batch peel (numpy + DataFrame variants)
+# BS-Approx: batch peel, on Spark while above the driver budget
 # ---------------------------------------------------------------------------
 
 
-def _bs_peel_np(e: EdgeArrays, a: float, eps: float):
-    """One batch peel at ratio ``a``; returns best-true-ρ snapshot."""
+def _bs_peel(state, counts: tuple[int, int, int], a: float, eps: float):
+    """One batch peel at ratio ``a`` from ``state`` with ``counts``
+    (n_src, n_dst, m); returns the best-true-ρ state, its ρ², and the
+    number of rounds."""
     c_s = 1.0 / (2.0 * sqrt(a))
     c_t = sqrt(a) / 2.0
-    src, dst = e.src, e.dst
-    best = rho2_frac(len(src), len(np.unique(src)), len(np.unique(dst)))
-    best_pair = (np.unique(src), np.unique(dst), len(src))
-    rounds = 0
-    while len(src):
-        s_lab, s_inv = np.unique(src, return_inverse=True)
-        t_lab, t_inv = np.unique(dst, return_inverse=True)
-        m = len(src)
-        cur = rho2_frac(m, len(s_lab), len(t_lab))
-        if cur > best:
-            best = cur
-            best_pair = (s_lab, t_lab, m)
-        d_out = np.bincount(s_inv)
-        d_in = np.bincount(t_inv)
-        denom = c_s * len(s_lab) + c_t * len(t_lab)
+    ns, nt, m = counts
+    best, best_rho2, rounds = state, rho2_frac(m, ns, nt), 0
+    while m:
+        state = to_driver(state, m)
+        denom = c_s * ns + c_t * nt
         thr_out = (1.0 + eps) * 2.0 * m * c_s / denom
         thr_in = (1.0 + eps) * 2.0 * m * c_t / denom
-        keep = (d_out[s_inv] > thr_out) & (d_in[t_inv] > thr_in)
-        if keep.all():  # cannot happen (see module docstring) — safety only
+        state = degree_round(state, thr_out, thr_in)
+        ns, nt, m_next = engine_for(state).counts(state)
+        if m_next == m:  # cannot happen (see module docstring) — safety only
             break
-        src, dst = src[keep], dst[keep]
-        rounds += 1
-    return best_pair, rounds
+        m, rounds = m_next, rounds + 1
+        if (cur := rho2_frac(m, ns, nt)) > best_rho2:
+            best, best_rho2 = state, cur
+    return best, best_rho2, rounds
 
 
-def bs_approx_np(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
-    """Batch-peel baseline on local arrays (parity twin of the DF path)."""
-    check_no_duplicates(e)
-    if e.m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios": 0})
-    grid = geometric_grid(1.0 / e.n_dst, float(e.n_src), eps)
-    best: DDSResult | None = None
-    rounds = 0
-    for a in grid:
-        (s_set, t_set, m), r = _bs_peel_np(e, a, eps)
-        rounds += r
-        cand = DDSResult(s_set, t_set, m, {})
-        if cand.better_than(best):
-            best = cand
-    assert best is not None
-    best.stats = {"ratios": len(grid), "eps": eps, "peel_rounds": rounds}
-    return best
+def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
+    """Batch-peel baseline on an EdgeArrays or an edge DataFrame.
 
-
-def bs_approx_df(edges: DataFrame, *, eps: float = 0.5) -> DDSResult:
-    """Batch-peel baseline as a Catalyst program.
-
-    Each round: two degree aggregations, two semijoins, one count —
-    O(log n) rounds per grid ratio. Snapshot bookkeeping keeps only
-    (m, ns, nt) per round; the winning snapshot's vertex sets are
-    re-materialized by replaying the peel for the winning (ratio, round).
+    A DataFrame peels as Spark rounds while it holds more than
+    ``DRIVER_EDGE_BUDGET`` edges and in numpy after one collect (a
+    DataFrame within the budget is collected once on entry). Each
+    ratio's best snapshot is kept as it is peeled, never replayed.
     """
-    eng = DataFrameEngine()
-    ns0, nt0, m0 = eng.counts(edges)
-    if m0 == 0:
+    check_no_duplicates(edges)
+    ns, nt, m = counts = engine_for(edges).counts(edges)
+    if m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios": 0})
-    grid = geometric_grid(1.0 / nt0, float(ns0), eps)
-
-    def _peel(a: float, stop_round: int | None):
-        """Peel at ratio a; returns (best_round, best_rho2) or the state at stop_round."""
-        c_s = 1.0 / (2.0 * sqrt(a))
-        c_t = sqrt(a) / 2.0
-        e = edges
-        best_round, best = 0, rho2_frac(m0, ns0, nt0)
-        rnd = 0
-        ns, nt, m = ns0, nt0, m0
-        while m > 0:
-            if stop_round is not None and rnd == stop_round:
-                return e
-            thr = (1.0 + eps) * 2.0 * m / (c_s * ns + c_t * nt)
-            s_ok = (
-                e.groupBy(SRC).agg(F.count(F.lit(1)).alias("d"))
-                .filter(F.col("d") > thr * c_s)
-                .select(SRC)
-            )
-            t_ok = (
-                e.groupBy(DST).agg(F.count(F.lit(1)).alias("d"))
-                .filter(F.col("d") > thr * c_t)
-                .select(DST)
-            )
-            e = (
-                e.join(s_ok, SRC, "left_semi")
-                .join(t_ok, DST, "left_semi")
-                .localCheckpoint(eager=True)
-            )
-            rnd += 1
-            ns, nt, m = eng.counts(e)
-            if m > 0:
-                cur = rho2_frac(m, ns, nt)
-                if cur > best:
-                    best_round, best = rnd, cur
-        return best_round, best
-
-    best_a, best_round, best_rho2 = grid[0], 0, rho2_frac(m0, ns0, nt0)
-    total_rounds = 0
+    edges = to_driver(edges, m)
+    grid = geometric_grid(1.0 / nt, float(ns), eps)
+    best, best_rho2, rounds = edges, rho2_frac(m, ns, nt), 0
     for a in grid:
-        r, b = _peel(a, None)
-        total_rounds += r if r else 1
-        if b > best_rho2:
-            best_a, best_round, best_rho2 = a, r, b
-    state = edges if best_round == 0 else _peel(best_a, best_round)
-    local = eng.to_local(state)
+        state, rho2, r = _bs_peel(edges, counts, a, eps)
+        rounds += r
+        if rho2 > best_rho2:
+            best, best_rho2 = state, rho2
+    e = to_local(best)
     return DDSResult(
-        np.unique(local.src),
-        np.unique(local.dst),
-        local.m,
-        {"ratios": len(grid), "eps": eps, "engine": "dataframe"},
+        np.unique(e.src),
+        np.unique(e.dst),
+        e.m,
+        {"ratios": len(grid), "eps": eps, "peel_rounds": rounds},
     )

@@ -41,7 +41,7 @@ from repro.core.approx import core_approx
 from repro.core.density import skewed2_frac
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, LocalEngine, engine_for, to_driver
+from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
 from repro.flow.network import solve_level
 from repro.graph.local import EdgeArrays, check_no_duplicates
 
@@ -207,9 +207,7 @@ def _widen_factor(rho_ratio: float) -> Fraction:
     return Fraction(root * root * (1.0 - 1e-9)).limit_denominator(10**12)
 
 
-def core_exact(
-    edges, *, engine: CoreEngine | None = None, delta: float = 0.2
-) -> DDSResult:
+def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
     """Core-Exact: Core-Approx seeding + core-pruned DC (the paper's best).
 
     ``edges`` may be an EdgeArrays or an edge DataFrame. A DataFrame
@@ -230,27 +228,25 @@ def core_exact(
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    check_no_duplicates(edges)
-    eng = engine or engine_for(edges)
-    ns, nt, m = eng.counts(edges)
+    ns, nt, m = engine_for(edges).counts(edges)
     if m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios_solved": 0})
-    edges = to_driver(edges, eng, m)
+    edges = to_driver(edges, m)
+    eng = engine_for(edges)
     stats: dict = {
         "algo": "core-exact",
         "ratios_solved": 0,
         "ratios_skipped_empty_core": 0,
     }
-    approx = core_approx(edges, engine=eng)
+    approx = core_approx(edges)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
     stats["approx_core_probes"] = approx.stats.get("core_probes")
     best: DDSResult = approx
     # the trivial full pair can beat the max-xy core on near-regular graphs
     full_rho2 = Fraction(m * m, ns * nt)
     if full_rho2 > best.rho2:
-        local_all = eng.to_local(edges)
-        best = _full_graph_pair(local_all)
+        best = _full_graph_pair(to_local(edges))
 
     fail_beta = _widen_factor(1.0 / (1.0 - delta)) if delta > 0 else Fraction(1)
 
@@ -267,7 +263,7 @@ def core_exact(
         if eng.m(core_state) == 0:
             stats["ratios_skipped_empty_core"] += 1
         else:
-            local = eng.to_local(core_state)
+            local = to_local(core_state)
             sol = solve_ratio(
                 local, i, j, g_probe, g_probe_sq, prune_cores=True, stats=stats
             )

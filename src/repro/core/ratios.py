@@ -14,7 +14,7 @@ how much of this O(n²) space they touch:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, log, sqrt
+from math import floor, isfinite, log, sqrt
 
 
 def all_candidate_ratios(max_num: int, max_den: int) -> list[Fraction]:
@@ -63,6 +63,8 @@ def geometric_grid(lo: float, hi: float, eps: float) -> list[float]:
     """Grid lo, lo(1+eps), … covering [lo, hi] (last point ≥ hi)."""
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
+    if not (isfinite(eps) and eps > 0):  # eps <= 0 never reaches hi; nan passes every test
+        raise ValueError("need a finite eps > 0")
     out = [lo]
     while out[-1] < hi:
         out.append(out[-1] * (1.0 + eps))

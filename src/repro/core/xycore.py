@@ -6,17 +6,18 @@ into ``T`` and every ``v ∈ T`` has ≥ y in-edges from ``S``.
 
 Feasible pairs are closed under union (degrees only grow), so the
 maximal core is unique and equals the fixpoint of batch-deleting
-violators. That batch fixpoint is exactly one DataFrame round: two
-degree aggregations + two semijoins — the dataflow formulation the
-reproduction hint asks for. A numpy engine with identical semantics
-serves the driver-side inner loops; tests assert engine parity.
+violators. Each deletion round is one ``degree_round``: on a DataFrame,
+two degree aggregations + two semijoins — the dataflow formulation the
+reproduction hint asks for; on an ``EdgeArrays``, the same filter in
+numpy. The state's type picks the substrate; there is no engine option.
 
 There is one Spark→driver handoff rule: DataFrame rounds run only while
 the edge set holds more than ``DRIVER_EDGE_BUDGET`` edges. A state
-within the budget is collected to the driver once and finished with the
-numpy fixpoint; from then on it stays an ``EdgeArrays``. A Spark round
-costs ~0.4 s of job latency however few edges it touches, while a numpy
-round over the whole budget costs less than that.
+within the budget is collected to the driver once and finished in
+numpy; from then on it stays an ``EdgeArrays``. A Spark round costs
+~0.4 s of job latency however few edges it touches, while a numpy round
+over the whole budget costs less than that. BS-Approx's peel
+(``repro.core.approx``) follows the same rule.
 
 The module also implements the search used by Core-Approx:
 ``y_max(x)`` (the largest y with nonempty [x,y]-core) is non-increasing
@@ -27,12 +28,11 @@ seeding — no core is ever decomposed that provably cannot win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.graph.degrees import in_degrees, out_degrees
 from repro.graph.local import EdgeArrays, collect_edges, empty_edges
 from repro.graph.schema import DST, SRC
 
@@ -44,41 +44,46 @@ DRIVER_EDGE_BUDGET = 1_000_000
 MAX_DF_ROUNDS = 10_000
 
 # ---------------------------------------------------------------------------
-# engines
+# one degree-filter round, and the engines built on it
 # ---------------------------------------------------------------------------
 
 
-class CoreEngine(Protocol):
-    """The minimal surface the core searches need from a graph engine."""
+def degree_round(state, lo_out: float, lo_in: float):
+    """One batch deletion round: the edges whose source has out-degree
+    > ``lo_out`` and whose destination has in-degree > ``lo_in``.
 
-    def core(self, state, x: int, y: int):  # -> state
-        ...
-
-    def m(self, state) -> int: ...
-
-    def counts(self, state) -> tuple[int, int, int]:  # (n_src, n_dst, m)
-        ...
-
-    def max_out_degree(self, state) -> int: ...
-
-    def max_in_degree(self, state) -> int: ...
-
-    def to_local(self, state) -> EdgeArrays: ...
+    Both the [x,y]-core fixpoint (bounds x−1, y−1) and the BS-Approx peel
+    (float thresholds) are repeated rounds of this. An ``EdgeArrays`` state
+    is filtered in numpy and returned itself when no edge goes; a DataFrame
+    state becomes two degree aggregations and two semijoins, with an eager
+    ``localCheckpoint`` to cut lineage (iterative plans grow exponentially
+    otherwise).
+    """
+    if isinstance(state, EdgeArrays):
+        _, s_inv = np.unique(state.src, return_inverse=True)
+        _, t_inv = np.unique(state.dst, return_inverse=True)
+        keep = (np.bincount(s_inv)[s_inv] > lo_out) & (np.bincount(t_inv)[t_inv] > lo_in)
+        return state if keep.all() else EdgeArrays(state.src[keep], state.dst[keep])
+    s_ok = out_degrees(state).filter(F.col("out_deg") > lo_out).select(SRC)
+    t_ok = in_degrees(state).filter(F.col("in_deg") > lo_in).select(DST)
+    return (
+        state.join(s_ok, SRC, "left_semi")
+        .join(t_ok, DST, "left_semi")
+        .select(SRC, DST)
+        .localCheckpoint(eager=True)
+    )
 
 
 class LocalEngine:
     """numpy batch-fixpoint engine; state = EdgeArrays."""
 
     def core(self, state: EdgeArrays, x: int, y: int) -> EdgeArrays:
-        src, dst = state.src, state.dst
-        while len(src):
-            s_lab, s_inv = np.unique(src, return_inverse=True)
-            t_lab, t_inv = np.unique(dst, return_inverse=True)
-            keep = (np.bincount(s_inv)[s_inv] >= x) & (np.bincount(t_inv)[t_inv] >= y)
-            if keep.all():
-                return EdgeArrays(src, dst)
-            src, dst = src[keep], dst[keep]
-        return empty_edges()
+        while state.m:
+            kept = degree_round(state, x - 1, y - 1)
+            if kept is state:
+                break
+            state = kept
+        return state
 
     def m(self, state: EdgeArrays) -> int:
         return state.m
@@ -92,52 +97,29 @@ class LocalEngine:
     def max_in_degree(self, state: EdgeArrays) -> int:
         return state.in_degree_max()
 
-    def to_local(self, state: EdgeArrays) -> EdgeArrays:
-        return state
-
 
 class DataFrameEngine(LocalEngine):
     """Catalyst batch-fixpoint engine; state = edge DataFrame or EdgeArrays.
 
-    Each round is two aggregations + two semijoins, with an eager
-    ``localCheckpoint`` to cut lineage (iterative DataFrame plans grow
-    exponentially otherwise) and a count to detect the fixpoint. Rounds
-    run only while the state is above ``DRIVER_EDGE_BUDGET``; a nonempty
-    state within it is collected and finished by the numpy fixpoint, and
-    ``EdgeArrays`` states get the ``LocalEngine`` methods.
+    Each round is one ``degree_round`` and a count to detect the fixpoint.
+    Rounds run only while the state is above ``DRIVER_EDGE_BUDGET``; a
+    nonempty state within it is collected and finished by the numpy
+    fixpoint, and ``EdgeArrays`` states get the ``LocalEngine`` methods.
     """
 
     def core(self, state, x: int, y: int):
         if isinstance(state, EdgeArrays):
             return super().core(state, x, y)
-        e = state
-        m_prev = e.count()
+        m = self.m(state)
         for _ in range(MAX_DF_ROUNDS):
-            if m_prev == 0:
-                return e
-            if m_prev <= DRIVER_EDGE_BUDGET:
-                return super().core(collect_edges(e), x, y)
-            s_ok = (
-                e.groupBy(SRC).agg(F.count(F.lit(1)).alias("d"))
-                .filter(F.col("d") >= x)
-                .select(SRC)
-            )
-            t_ok = (
-                e.groupBy(DST).agg(F.count(F.lit(1)).alias("d"))
-                .filter(F.col("d") >= y)
-                .select(DST)
-            )
-            e2 = (
-                e.join(s_ok, SRC, "left_semi")
-                .join(t_ok, DST, "left_semi")
-                .select(SRC, DST)
-                .localCheckpoint(eager=True)
-            )
-            m_new = e2.count()
-            e = e2
-            if m_new == m_prev:
-                return e
-            m_prev = m_new
+            if m == 0:
+                return state
+            if m <= DRIVER_EDGE_BUDGET:
+                return super().core(collect_edges(state), x, y)
+            state, m_prev = degree_round(state, x - 1, y - 1), m
+            m = self.m(state)
+            if m == m_prev:
+                return state
         raise RuntimeError("xy-core fixpoint did not converge (impossible)")
 
     def m(self, state) -> int:
@@ -158,45 +140,36 @@ class DataFrameEngine(LocalEngine):
     def max_out_degree(self, state) -> int:
         if isinstance(state, EdgeArrays):
             return super().max_out_degree(state)
-        return self._max_degree(state, SRC)
+        return out_degrees(state).agg(F.max("out_deg")).collect()[0][0] or 0
 
     def max_in_degree(self, state) -> int:
         if isinstance(state, EdgeArrays):
             return super().max_in_degree(state)
-        return self._max_degree(state, DST)
-
-    @staticmethod
-    def _max_degree(state: DataFrame, col: str) -> int:
-        row = (
-            state.groupBy(col).agg(F.count(F.lit(1)).alias("d"))
-            .agg(F.max("d").alias("mx"))
-            .collect()[0]
-        )
-        return row["mx"] or 0
-
-    def to_local(self, state) -> EdgeArrays:
-        if isinstance(state, EdgeArrays):
-            return state
-        return collect_edges(state)
+        return in_degrees(state).agg(F.max("in_deg")).collect()[0][0] or 0
 
 
-def engine_for(edges) -> CoreEngine:
-    """The default engine for ``edges``: by its type, EdgeArrays or DataFrame."""
+def engine_for(edges) -> LocalEngine:
+    """The engine for ``edges``: by its type, EdgeArrays or DataFrame."""
     return LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
 
 
-def to_driver(edges, eng: CoreEngine, m: int | None = None):
+def to_local(state) -> EdgeArrays:
+    """``state`` on the driver: an ``EdgeArrays`` as is, a DataFrame collected."""
+    return state if isinstance(state, EdgeArrays) else collect_edges(state)
+
+
+def to_driver(edges, m: int | None = None):
     """``edges`` collected to the driver if it is a DataFrame of at most
     ``DRIVER_EDGE_BUDGET`` edges (``m``, when the caller has counted
     them), else unchanged: the once-on-entry form of the handoff rule."""
     if isinstance(edges, EdgeArrays):
         return edges
     if m is None:
-        m = eng.m(edges)
-    return eng.to_local(edges) if m <= DRIVER_EDGE_BUDGET else edges
+        m = DataFrameEngine().m(edges)
+    return collect_edges(edges) if m <= DRIVER_EDGE_BUDGET else edges
 
 
-def xy_core(edges, x: int, y: int, *, engine: CoreEngine | None = None):
+def xy_core(edges, x: int, y: int):
     """The [x,y]-core of ``edges`` (EdgeArrays or DataFrame).
 
     An ``EdgeArrays`` input gives an ``EdgeArrays`` core. A DataFrame input
@@ -204,7 +177,7 @@ def xy_core(edges, x: int, y: int, *, engine: CoreEngine | None = None):
     core, with the state still above ``DRIVER_EDGE_BUDGET``; a nonempty
     state within the budget is collected and its core is an ``EdgeArrays``.
     """
-    return (engine or engine_for(edges)).core(edges, x, y)
+    return engine_for(edges).core(edges, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +195,18 @@ class XYCoreResult:
     stats: dict
 
 
-def y_max_for_x(edges, x: int, *, engine: CoreEngine | None = None, stats: dict | None = None):
+def y_max_for_x(edges, x: int, *, stats: dict | None = None):
     """Largest y with nonempty [x,y]-core, plus that core (engine state).
 
     Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``;
     every probe runs inside the previously found nonempty core, so probes
     get cheaper as y grows. Returns ``(0, empty)`` when even [x,1] is empty.
     """
-    eng = engine or engine_for(edges)
-    y, core, _ = _y_max(edges, x, eng, stats if stats is not None else {})
+    y, core, _ = _y_max(edges, x, engine_for(edges), stats if stats is not None else {})
     return y, core
 
 
-def _y_max(edges, x: int, eng: CoreEngine, st: dict):
+def _y_max(edges, x: int, eng: LocalEngine, st: dict):
     """``y_max_for_x``, also returning the [x,1]-core it searched in."""
     base = eng.core(edges, x, 1)
     st["core_probes"] = st.get("core_probes", 0) + 1
@@ -253,7 +225,7 @@ def _y_max(edges, x: int, eng: CoreEngine, st: dict):
     return lo, lo_core, base
 
 
-def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
+def max_xy_core(edges) -> XYCoreResult:
     """The nonempty [x,y]-core maximizing x·y (exact, branch-and-bound).
 
     Correctness of the skip rule: ``y_max`` is non-increasing, so for any
@@ -268,8 +240,8 @@ def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
     graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
     once on entry.
     """
-    eng = engine or engine_for(edges)
-    edges = to_driver(edges, eng)
+    edges = to_driver(edges)
+    eng = engine_for(edges)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub = eng.max_out_degree(edges)
     best: XYCoreResult | None = None
@@ -286,7 +258,7 @@ def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
         ymax_at[x] = y
         nonlocal best
         if y > 0 and (best is None or x * y > best.x * best.y):
-            best = XYCoreResult(x, y, eng.to_local(core), stats)
+            best = XYCoreResult(x, y, to_local(core), stats)
         return y
 
     if x_ub == 0:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.approx import bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import core_exact
 from repro.graph import generators as gen
@@ -45,13 +45,13 @@ def test_bs_approx_guarantee(seed):
     eps = 0.5
     e = _random_tiny(seed + 900)
     opt = brute_force_dds(e)
-    got = bs_approx_np(e, eps=eps)
+    got = bs_approx(e, eps=eps)
     factor = 2 * (1 + eps) ** 2
     assert float(got.rho2) * factor**2 >= float(opt.rho2) - 1e-9
 
 
 @pytest.mark.parametrize(
-    "algo", [core_approx, ks_approx, bs_approx_np], ids=["core", "ks", "bs"]
+    "algo", [core_approx, ks_approx, bs_approx], ids=["core", "ks", "bs"]
 )
 def test_approx_empty_graph(algo):
     r = algo(empty_edges())
@@ -59,7 +59,7 @@ def test_approx_empty_graph(algo):
 
 
 @pytest.mark.parametrize(
-    "algo", [core_approx, ks_approx, bs_approx_np], ids=["core", "ks", "bs"]
+    "algo", [core_approx, ks_approx, bs_approx], ids=["core", "ks", "bs"]
 )
 def test_approx_single_edge_is_exact(algo):
     e = EdgeArrays(np.array([0]), np.array([1]))
@@ -67,7 +67,7 @@ def test_approx_single_edge_is_exact(algo):
 
 
 @pytest.mark.parametrize(
-    "algo", [core_approx, ks_approx, bs_approx_np], ids=["core", "ks", "bs"]
+    "algo", [core_approx, ks_approx, bs_approx], ids=["core", "ks", "bs"]
 )
 def test_approx_deterministic(algo):
     e = gen.powerlaw_directed(120, 700, seed=15)
@@ -99,9 +99,17 @@ def test_ks_tracks_best_snapshot_not_last():
     assert r.rho > 1.0
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("algo", [ks_approx, bs_approx], ids=["ks", "bs"])
+def test_grid_approx_rejects_bad_eps(algo, eps):
+    e = gen.er_directed(20, 60, seed=1)
+    with pytest.raises(ValueError, match="eps"):
+        algo(e, eps=eps)
+
+
 def test_bs_rounds_logarithmic():
     e = gen.powerlaw_directed(2000, 20000, seed=5)
-    r = bs_approx_np(e, eps=0.5)
+    r = bs_approx(e, eps=0.5)
     # paper-style bound: rounds per ratio ~ O(log n); allow slack ×4
     per_ratio = r.stats["peel_rounds"] / r.stats["ratios"]
     assert per_ratio <= 4 * np.log2(2000)
@@ -115,4 +123,4 @@ def test_approx_ordering_quality(seed):
     opt = core_exact(e)
     assert core_approx(e).rho >= opt.rho / 2 - 1e-9
     assert ks_approx(e, eps=0.5).rho >= opt.rho / 3 - 1e-9
-    assert bs_approx_np(e, eps=0.5).rho >= opt.rho / 4.5 - 1e-9
+    assert bs_approx(e, eps=0.5).rho >= opt.rho / 4.5 - 1e-9

@@ -1,9 +1,9 @@
-"""DataFrame variants of the DDS algorithms: parity with local twins."""
+"""The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs."""
 import numpy as np
 import pytest
 
 from repro.core import xycore
-from repro.core.approx import bs_approx_df, bs_approx_np, core_approx
+from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
 from repro.graph import generators as gen
 
@@ -31,15 +31,38 @@ def test_core_approx_small_df_collects_once(spark, graph_pair, count_calls):
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0])
-def test_bs_approx_df_parity(spark, graph_pair, eps):
+def test_bs_approx_df_parity(spark, graph_pair, spark_only, df_rounds, eps):
     local, df = graph_pair
-    a, b = bs_approx_np(local, eps=eps), bs_approx_df(df, eps=eps)
+    a, b = bs_approx(local, eps=eps), bs_approx(df, eps=eps)
     assert a.rho2 == b.rho2
+    assert df_rounds[0] >= 1
+
+
+def test_bs_approx_mixed_path_parity(spark, graph_pair, monkeypatch, count_calls, df_rounds):
+    """Budget m/2: every peel starts as Spark rounds and finishes in numpy."""
+    local, df = graph_pair
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m // 2)
+    collects = count_calls(xycore, "collect_edges")
+    a, b = bs_approx(local, eps=1.0), bs_approx(df, eps=1.0)
+    assert a.rho2 == b.rho2
+    assert set(a.S.tolist()) == set(b.S.tolist())
+    assert set(a.T.tolist()) == set(b.T.tolist())
+    assert a.stats["peel_rounds"] == b.stats["peel_rounds"]
+    # some rounds ran on Spark, the rest in numpy after a collect
+    assert 1 <= df_rounds[0] < b.stats["peel_rounds"] and collects[0] >= 1
+
+
+def test_bs_approx_small_df_collects_once(spark, graph_pair, count_calls):
+    """A DataFrame within the driver budget is handed off once, on entry."""
+    local, df = graph_pair
+    collects = count_calls(xycore, "collect_edges")
+    assert bs_approx(df).rho2 == bs_approx(local).rho2
+    assert collects[0] == 1
 
 
 def test_bs_approx_df_empty(spark):
     df = gen.to_spark(spark, gen.er_directed(5, 3, seed=1)).filter("src < 0")
-    r = bs_approx_df(df)
+    r = bs_approx(df)
     assert r.rho == 0.0
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.approx import bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import (
     _thresholds,
@@ -164,7 +164,7 @@ def _repeated_edges():
 
 
 @pytest.mark.parametrize(
-    "algo", [core_approx, core_exact, dc_exact, exact_dds, ks_approx, bs_approx_np]
+    "algo", [core_approx, core_exact, dc_exact, exact_dds, ks_approx, bs_approx]
 )
 def test_algorithms_reject_duplicate_edges(algo):
     with pytest.raises(ValueError, match="duplicate"):

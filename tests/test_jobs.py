@@ -40,6 +40,16 @@ def test_table_approx(spark):
         assert r["core_rho"] > 0 and r["ks_rho"] > 0 and r["bs_rho"] > 0
 
 
+def test_table_approx_df_matches_local(spark):
+    """The ``--engine df`` branch hands DataFrames to the same algorithms."""
+    names = ["xs-er", "xs-plant"]
+    local = table_approx.run(spark, names, eps=0.5, engine="local")
+    df = table_approx.run(spark, names, eps=0.5, engine="df")
+    for a, b in zip(local, df):
+        for key in ("ks_rho", "bs_rho", "core_rho", "core_xy"):
+            assert a[key] == b[key]
+
+
 def test_table_accuracy(spark):
     rows = table_accuracy.run(spark, ["xs-er", "xs-plant"], eps=0.5)
     for r in rows:

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.approx import bs_approx_np, core_approx, ks_approx
+from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import core_exact, dc_exact
 from repro.core.xycore import xy_core
@@ -50,7 +50,7 @@ def test_approximation_guarantees(e):
     opt = brute_force_dds(e)
     assert core_approx(e).rho2 * 4 >= opt.rho2
     assert float(ks_approx(e, eps=0.5).rho2) * 9 >= float(opt.rho2) - 1e-9
-    assert float(bs_approx_np(e, eps=0.5).rho2) * (4.5**2) >= float(opt.rho2) - 1e-9
+    assert float(bs_approx(e, eps=0.5).rho2) * (4.5**2) >= float(opt.rho2) - 1e-9
 
 
 @_SLOW

@@ -91,3 +91,11 @@ def test_geometric_grid_rejects_bad_input():
         geometric_grid(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         geometric_grid(2.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
+def test_geometric_grid_rejects_bad_eps(eps):
+    """eps <= 0 never reached hi (the grid grew without end); nan
+    returned [lo, nan]."""
+    with pytest.raises(ValueError, match="eps"):
+        geometric_grid(0.5, 2.0, eps)

@@ -11,7 +11,6 @@ from repro.core import xycore
 from repro.core.exact import core_exact
 from repro.core.xycore import (
     DataFrameEngine,
-    LocalEngine,
     max_xy_core,
     xy_core,
     y_max_for_x,
@@ -31,29 +30,18 @@ def _pairs(e):
     return set(zip(e.src.tolist(), e.dst.tolist()))
 
 
-@pytest.fixture
-def df_rounds(count_calls, graph_pair):
-    """Running count of DataFrame fixpoint rounds (one checkpoint each)."""
-    return count_calls(type(graph_pair[1]), "localCheckpoint")
-
-
-@pytest.fixture
-def spark_only(monkeypatch):
-    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", 0)
-
-
 @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (3, 1), (1, 4), (2, 5)])
 def test_xy_core_parity(spark, graph_pair, spark_only, df_rounds, x, y):
     local, df = graph_pair
-    c_local = xy_core(local, x, y, engine=LocalEngine())
-    c_df = collect_edges(xy_core(df, x, y, engine=DataFrameEngine()))
+    c_local = xy_core(local, x, y)
+    c_df = collect_edges(xy_core(df, x, y))
     assert _pairs(c_local) == _pairs(c_df)
     assert df_rounds[0] >= 1
 
 
 def test_xy_core_df_empty_result(spark, graph_pair, spark_only, df_rounds):
     _, df = graph_pair
-    c = xy_core(df, 1000, 1000, engine=DataFrameEngine())
+    c = xy_core(df, 1000, 1000)
     assert c.count() == 0
     assert df_rounds[0] >= 1
 
@@ -78,15 +66,15 @@ def test_df_engine_degree_bounds_zero_on_empty(spark, graph_pair):
 @pytest.mark.parametrize("x", [1, 2, 3])
 def test_y_max_parity(spark, graph_pair, x):
     local, df = graph_pair
-    y_l, _ = y_max_for_x(local, x, engine=LocalEngine())
-    y_d, _ = y_max_for_x(df, x, engine=DataFrameEngine())
+    y_l, _ = y_max_for_x(local, x)
+    y_d, _ = y_max_for_x(df, x)
     assert y_l == y_d
 
 
 def test_max_xy_core_parity(spark, graph_pair):
     local, df = graph_pair
-    b_l = max_xy_core(local, engine=LocalEngine())
-    b_d = max_xy_core(df, engine=DataFrameEngine())
+    b_l = max_xy_core(local)
+    b_d = max_xy_core(df)
     assert (b_l.x, b_l.y) == (b_d.x, b_d.y)
     assert _pairs(b_l.edges) == _pairs(b_d.edges)
 
@@ -94,7 +82,7 @@ def test_max_xy_core_parity(spark, graph_pair):
 def test_xy_core_df_degree_invariant_via_oracle(spark, graph_pair, spark_only, df_rounds):
     """Every surviving source has >= x out-edges — checked in SQL."""
     _, df = graph_pair
-    core = xy_core(df, 2, 3, engine=DataFrameEngine())
+    core = xy_core(df, 2, 3)
     assert df_rounds[0] >= 1
     from pyspark.sql import functions as F
 
@@ -115,15 +103,15 @@ def test_mixed_path_parity(spark, graph_pair, monkeypatch, count_calls, df_round
     monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m // 2)
     collects = count_calls(xycore, "collect_edges")
 
-    c_local = xy_core(local, 4, 4, engine=LocalEngine())
+    c_local = xy_core(local, 4, 4)
     assert c_local.m <= local.m // 2
-    c_df = xy_core(df, 4, 4, engine=DataFrameEngine())
+    c_df = xy_core(df, 4, 4)
     assert isinstance(c_df, EdgeArrays)
     assert _pairs(c_df) == _pairs(c_local)
     assert df_rounds[0] >= 1 and collects[0] == 1
 
-    b_l = max_xy_core(local, engine=LocalEngine())
-    b_d = max_xy_core(df, engine=DataFrameEngine())
+    b_l = max_xy_core(local)
+    b_d = max_xy_core(df)
     assert (b_l.x, b_l.y) == (b_d.x, b_d.y)
     assert _pairs(b_l.edges) == _pairs(b_d.edges)
     assert b_l.stats == b_d.stats

@@ -77,15 +77,14 @@ def test_cores_nested_in_x_and_y(seed):
 
 def test_y_max_monotone_nonincreasing():
     e = gen.powerlaw_directed(80, 500, seed=2)
-    eng = LocalEngine()
-    ys = [y_max_for_x(e, x, engine=eng)[0] for x in range(1, 8)]
+    ys = [y_max_for_x(e, x)[0] for x in range(1, 8)]
     assert all(a >= b for a, b in zip(ys, ys[1:]))
 
 
 def test_y_max_value_is_tight():
     e = gen.er_directed(40, 300, seed=3)
     eng = LocalEngine()
-    y, core = y_max_for_x(e, 2, engine=eng)
+    y, core = y_max_for_x(e, 2)
     assert eng.m(eng.core(e, 2, y)) > 0
     assert eng.m(eng.core(e, 2, y + 1)) == 0
 
@@ -101,10 +100,9 @@ def test_y_max_empty_graph():
 def test_max_xy_core_is_exact_maximum(seed):
     """B&B result must equal the brute-force max over all x of x*y_max(x)."""
     e = gen.er_directed(25, 140, seed=seed + 10)
-    eng = LocalEngine()
-    best = max_xy_core(e, engine=eng)
+    best = max_xy_core(e)
     x_ub = e.out_degree_max()
-    brute = max(x * y_max_for_x(e, x, engine=eng)[0] for x in range(1, x_ub + 1))
+    brute = max(x * y_max_for_x(e, x)[0] for x in range(1, x_ub + 1))
     assert best.x * best.y == brute
 
 
