@@ -3,6 +3,7 @@ import pytest
 
 from repro import datasets
 from repro.core.exact import core_exact
+from repro.flow.network import network_nodes
 
 
 @pytest.mark.parametrize("name", ["xs-er", "s-pl", "m-plant"])
@@ -10,7 +11,7 @@ def test_bench_core_exact_instrumented(benchmark, name):
     benchmark.group = "T6-pruning"
     e = datasets.load_local(name)
     r = benchmark.pedantic(core_exact, args=(e,), rounds=1, iterations=1)
-    full_nodes = 2 + e.n_src + e.n_dst + e.m
+    full_nodes = network_nodes(e.n_src, e.n_dst)
     benchmark.extra_info.update(
         {
             "dataset": name,

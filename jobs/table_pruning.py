@@ -15,6 +15,7 @@ from _util import get_spark, print_table
 from repro import datasets
 from repro.core.exact import core_exact
 from repro.core.ratios import all_candidate_ratios
+from repro.flow.network import network_nodes
 
 DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-pl", "m-plant"]
 
@@ -25,7 +26,7 @@ def run(spark, names: list[str]) -> list[dict]:
         e = datasets.load_local(name)
         r = core_exact(e)
         st = r.stats
-        full_nodes = 2 + e.n_src + e.n_dst + e.m
+        full_nodes = network_nodes(e.n_src, e.n_dst)
         # candidate-space size: count distinct reduced fractions (exact for
         # the small tier; estimated via the Farey ~3/π² density for large)
         n_s, n_t = e.n_src, e.n_dst

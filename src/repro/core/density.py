@@ -7,17 +7,13 @@ its square is rational with denominator ≤ n², and for a fixed ratio
     rho_a(S,T) = 2*sqrt(i*j)*|E| / (j*|S| + i*|T|)
 
 also has a rational square. All "is this pair better" comparisons are
-therefore done on exact Fractions; floats appear only inside the flow
-solver and for reporting.
+therefore done on exact Fractions; floats appear only for reporting and
+in Core-Exact's ratio-widening radius (``exact._widen_factor``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import sqrt
-
-import numpy as np
-
-from repro.graph.local import EdgeArrays
 
 
 def rho(m: int, n_s: int, n_t: int) -> float:
@@ -47,13 +43,3 @@ def skewed2_frac(m: int, n_s: int, n_t: int, i: int, j: int) -> Fraction:
         return Fraction(0)
     return Fraction(4 * i * j * m * m, (j * n_s + i * n_t) ** 2)
 
-
-def q_factor(a: float, r: float) -> float:
-    """q(a,r) = ½(sqrt(r/a) + sqrt(a/r)) ≥ 1 — the DC-lemma stretch factor."""
-    x = sqrt(r / a)
-    return 0.5 * (x + 1.0 / x)
-
-
-def pair_density(e: EdgeArrays, s_set: np.ndarray, t_set: np.ndarray) -> float:
-    """True ρ of an explicit (S,T) pair over an edge list."""
-    return rho(e.edges_between(s_set, t_set), len(s_set), len(t_set))

@@ -1,12 +1,13 @@
 """Exact DDS algorithms: Exact (baseline), DC-Exact, Core-Exact.
 
 All three share one subroutine, ``solve_ratio``: Dinkelbach iteration on
-the fixed-ratio skewed density ρ_a (see DESIGN.md §2). Dinkelbach's
-levels are exact rational squares and strictly increase, so it
-terminates at F(a) = max ρ_a together with an argmax pair. The
-algorithms differ *only* in how much of the candidate-ratio space they
-solve and on how small a subgraph each flow network is built — exactly
-the axes of the paper's contribution:
+the fixed-ratio skewed density ρ_a (see DESIGN.md §2). For a = i/j,
+ρ_a = 2√(ij)·μ with the rational μ(S,T) = |E(S,T)|/(j|S|+i|T|), so
+Dinkelbach runs on exact ``Fraction`` levels λ of μ; they strictly
+increase, so it terminates at F(a) = max ρ_a together with an argmax
+pair. The algorithms differ *only* in how much of the candidate-ratio
+space they solve and on how small a subgraph each flow network is built —
+exactly the axes of the paper's contribution:
 
 - ``exact_dds`` (baseline, Khuller–Saha style): every candidate ratio
   i/j, flow networks on the whole graph.
@@ -20,20 +21,19 @@ the axes of the paper's contribution:
   the whole closed ratio interval [min(a,c), max(a,c)].
 
 - ``core_exact``: DC plus the paper's core optimizations: ρ_best is
-  seeded by Core-Approx (≥ ρ_opt/2); any h-argmax at level g lives in
-  the [⌈g/(2√a)⌉, ⌈g·√a/2⌉]-core (removing a lower-degree vertex from
-  an argmax would strictly raise h), so each ratio's network is built
-  only on that core, the core is re-shrunk as Dinkelbach's level grows,
-  and a ratio whose core at level ρ_best is already empty is skipped
-  outright (it cannot contain the optimum unless ρ_best = ρ_opt
-  already, because the DDS itself satisfies the degree bounds at its
-  own ratio).
+  seeded by Core-Approx (≥ ρ_opt/2); any h-argmax at level λ lives in
+  the [⌈λj⌉, ⌈λi⌉]-core (removing a lower-degree vertex from an argmax
+  would strictly raise h), so each ratio's network is built only on that
+  core, the core is re-shrunk as Dinkelbach's level grows, and a ratio
+  whose core at level ρ_best is already empty is skipped outright (it
+  cannot contain the optimum unless ρ_best = ρ_opt already, because the
+  DDS itself satisfies the degree bounds at its own ratio).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, sqrt
+from math import ceil, isqrt, sqrt
 
 import numpy as np
 
@@ -42,17 +42,28 @@ from repro.core.density import skewed2_frac
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
 from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
-from repro.flow.network import solve_level
+from repro.flow.network import network_nodes, solve_level
 from repro.graph.local import EdgeArrays, check_no_duplicates
 
-_CEIL_SLACK = 1e-9  # never round a float threshold *up* past the true value
+_ROOT_DIGITS = 2**64  # resolution of a level rounded down from an irrational root
 
 
-def _thresholds(g: float, i: int, j: int) -> tuple[int, int]:
-    """Degree bounds (x, y) every h-argmax at level g satisfies."""
-    x = max(1, ceil(g * sqrt(j / i) / 2.0 - _CEIL_SLACK))
-    y = max(1, ceil(g * sqrt(i / j) / 2.0 - _CEIL_SLACK))
-    return x, y
+def _level(rho2: Fraction, i: int, j: int) -> Fraction:
+    """The μ-level of ρ_a = √rho2: a Fraction never above √(rho2/(4ij)),
+    and equal to it whenever that root is rational.
+
+    Rounding down is the safe direction: "no pair above λ" then also holds
+    at the root. The resolution only decides whether a μ lying between λ
+    and an irrational root costs one extra Dinkelbach step.
+    """
+    x = rho2 / (4 * i * j)
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt(n * d * _ROOT_DIGITS**2), d * _ROOT_DIGITS)
+
+
+def _thresholds(lam: Fraction, i: int, j: int) -> tuple[int, int]:
+    """Degree bounds (x, y) every h-argmax at level λ satisfies."""
+    return max(1, ceil(lam * j)), max(1, ceil(lam * i))
 
 
 @dataclass
@@ -76,46 +87,45 @@ def solve_ratio(
     e: EdgeArrays,
     i: int,
     j: int,
-    g0: float,
-    g0_sq: Fraction,
+    lam0: Fraction,
     *,
     prune_cores: bool = False,
     stats: dict | None = None,
 ) -> RatioSolution | None:
-    """Dinkelbach on ρ_a, a = i/j, starting at level ``g0`` (with exact
-    square ``g0_sq`` for acceptance tests).
+    """Dinkelbach on μ = ρ_a/(2√(ij)), a = i/j, starting at level ``lam0``.
 
-    Returns the argmax of ρ_a if some pair exceeds ``g0``, else None
-    (meaning F(a) ≤ g0 — the caller settles just the point a). With
-    ``prune_cores`` every iteration first shrinks the graph to the
-    [x(g),y(g)]-core; cores are nested as g grows, so shrinking the
+    Returns the argmax of ρ_a if some pair has μ > ``lam0``, else None
+    (meaning F(a) ≤ 2√(ij)·lam0 — the caller settles just the point a).
+    With ``prune_cores`` every iteration first shrinks the graph to the
+    [x(λ),y(λ)]-core; cores are nested as λ grows, so shrinking the
     *current* core is valid.
     """
     st = stats if stats is not None else {}
     cur = e
-    g, g_sq = g0, g0_sq
+    lam = lam0
     best: RatioSolution | None = None
+    nodes = 0
     while True:
         if prune_cores:
-            x, y = _thresholds(g, i, j)
+            x, y = _thresholds(lam, i, j)
             cur = LocalEngine().core(cur, x, y)
             st.setdefault("core_sizes", []).append(cur.m)
         if cur.m == 0:
             return best
-        h, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, g)
+        h, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, lam)
         st["cuts"] = st.get("cuts", 0) + 1
-        st["max_flow_nodes"] = max(
-            st.get("max_flow_nodes", 0), 2 + cur.n_src + cur.n_dst + cur.m
-        )
+        if not nodes:  # cores nest, so a call's first network is its largest
+            nodes = network_nodes(cur.n_src, cur.n_dst)
+            st["max_flow_nodes"] = max(st.get("max_flow_nodes", 0), nodes)
         if len(s_sel) == 0 or len(t_sel) == 0:
             return best
         m_st = cur.edges_between(s_sel, t_sel)
-        sk2 = skewed2_frac(m_st, len(s_sel), len(t_sel), i, j)
-        if sk2 <= g_sq:  # no strict improvement — converged
+        mu = Fraction(m_st, j * len(s_sel) + i * len(t_sel))
+        if mu <= lam:  # no strict improvement — converged
             return best
+        sk2 = skewed2_frac(m_st, len(s_sel), len(t_sel), i, j)
         best = RatioSolution(s_sel, t_sel, m_st, sk2)
-        g_sq = sk2
-        g = sqrt(float(sk2))
+        lam = mu
 
 
 def _full_graph_pair(e: EdgeArrays) -> DDSResult:
@@ -132,9 +142,8 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     best = _full_graph_pair(e)
     ratios = all_candidate_ratios(e.n_src, e.n_dst)
     for a in ratios:
-        sol = solve_ratio(
-            e, a.numerator, a.denominator, best.rho, best.rho2, stats=stats
-        )
+        i, j = a.numerator, a.denominator
+        sol = solve_ratio(e, i, j, _level(best.rho2, i, j), stats=stats)
         if sol is not None:
             cand = sol.as_result()
             if cand.better_than(best):
@@ -144,11 +153,9 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     return best
 
 
-def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> tuple[float, Fraction]:
-    """ρ_a of the full graph — a witness-backed start level for Dinkelbach."""
-    ns, nt = e.n_src, e.n_dst
-    sq = skewed2_frac(e.m, ns, nt, i, j)
-    return sqrt(float(sq)), sq
+def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> Fraction:
+    """μ of the full graph — a witness-backed start level for Dinkelbach."""
+    return Fraction(e.m, j * e.n_src + i * e.n_dst)
 
 
 def dc_exact(e: EdgeArrays) -> DDSResult:
@@ -165,8 +172,7 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
         """Solve ratio a to its F(a)-argmax; returns the argmax ratio c."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        g0, g0_sq = _self_lower_bound(e, i, j)
-        sol = solve_ratio(e, i, j, g0, g0_sq, stats=stats)
+        sol = solve_ratio(e, i, j, _self_lower_bound(e, i, j), stats=stats)
         stats["ratios_solved"] += 1
         if sol is None:
             # the full graph itself attains F(a)
@@ -216,9 +222,10 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
     each core probe runs Catalyst rounds until its core is within the
     budget, and only that core is collected for flow.
 
-    Each ratio is probed at level ``g = ρ_best·(1−δ)``. A failed probe
-    (empty level-core, or min-cut finds nothing above g) proves
-    F(a) ≤ g, and then every pair with ratio r satisfies
+    Each ratio is probed at the μ-level λ of ρ_a = ρ_best·(1−δ), rounded
+    down to a Fraction (`_level`). A failed probe (empty level-core, or
+    min-cut finds nothing above λ) proves F(a) ≤ 2√(ij)·λ ≤ ρ_best·(1−δ),
+    and then every pair with ratio r satisfies
     ρ ≤ F(a)·q(a,r) ≤ ρ_best for q(a,r) ≤ 1/(1−δ) — settling the whole
     multiplicative interval [a/β, a·β] with β = `_widen_factor(1/(1−δ))`
     instead of the single point a. A successful probe runs Dinkelbach to
@@ -254,9 +261,8 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
         """Probe/solve ratio a; returns the settled closed ratio interval."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        g_probe = best.rho * (1.0 - delta)
-        g_probe_sq = best.rho2 * Fraction(1.0 - delta) ** 2
-        x, y = _thresholds(g_probe, i, j)
+        lam_probe = _level(best.rho2 * Fraction(1.0 - delta) ** 2, i, j)
+        x, y = _thresholds(lam_probe, i, j)
         core_state = eng.core(edges, x, y)
         stats["core_probes_exact"] = stats.get("core_probes_exact", 0) + 1
         sol = None
@@ -264,11 +270,9 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
             stats["ratios_skipped_empty_core"] += 1
         else:
             local = to_local(core_state)
-            sol = solve_ratio(
-                local, i, j, g_probe, g_probe_sq, prune_cores=True, stats=stats
-            )
+            sol = solve_ratio(local, i, j, lam_probe, prune_cores=True, stats=stats)
             stats["ratios_solved"] += 1
-        if sol is None:  # F(a) <= g_probe: settle the δ-radius around a
+        if sol is None:  # F(a) <= ρ_best·(1−δ): settle the δ-radius around a
             return a / fail_beta, a * fail_beta
         cand = sol.as_result()
         if cand.better_than(best):

@@ -4,10 +4,10 @@ The paper's exact algorithms repeatedly solve a minimum st-cut on a
 "decision network" derived from the (core-pruned) graph. No flow solver
 is available offline, so this subpackage implements one from scratch:
 
-- :mod:`repro.flow.dinic` — Dinic's blocking-flow algorithm with an
-  s-side min-cut extractor.
-- :mod:`repro.flow.network` — the DDS project-selection network for a
-  fixed ratio ``a = i/j`` and density level ``g``.
+- :mod:`repro.flow.dinic` — Dinic's blocking-flow algorithm on integer
+  capacities with an s-side min-cut extractor.
+- :mod:`repro.flow.network` — the vertex-only DDS decision network for a
+  fixed ratio ``a = i/j`` and rational level ``λ``.
 """
 from repro.flow.dinic import Dinic
 from repro.flow.network import DDSNetwork, build_dds_network, solve_level

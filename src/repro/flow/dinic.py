@@ -4,14 +4,11 @@ Used on the *core-pruned* DDS decision networks, which the paper's whole
 contribution keeps small — so a driver-side sequential solver is the
 appropriate substrate (see DESIGN.md "Layering decision").
 
-Capacities are floats (the DDS network mixes unit capacities with
-``g·i``/``g·j`` terms where ``g`` is an irrational density level); all
-comparisons use an absolute epsilon that callers can scale.
+Capacities are non-negative integers (the DDS network scales a rational
+density level to integers), so every residual comparison is an exact
+``cap > 0`` and the flow value is exact: there is no epsilon.
 """
 from __future__ import annotations
-
-INF = float("inf")
-_EPS = 1e-12
 
 
 class Dinic:
@@ -26,9 +23,9 @@ class Dinic:
         self.n = n
         self.graph: list[list[int]] = [[] for _ in range(n)]  # node -> edge ids
         self.to: list[int] = []
-        self.cap: list[float] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: float) -> int:
+    def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add a directed edge u→v with capacity ``cap``; returns its id."""
         if cap < 0:
             raise ValueError(f"negative capacity {cap!r} on edge {u}->{v}")
@@ -37,7 +34,7 @@ class Dinic:
         self.cap.append(cap)
         self.graph[u].append(k)
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(0)
         self.graph[v].append(k + 1)
         return k
 
@@ -53,17 +50,17 @@ class Dinic:
                 lu = lvl[u]
                 for k in graph[u]:
                     v = to[k]
-                    if cap[k] > _EPS and lvl[v] < 0:
+                    if cap[k] > 0 and lvl[v] < 0:
                         lvl[v] = lu + 1
                         nq.append(v)
             q = nq
         return lvl[t] >= 0
 
-    def _augment(self, s: int, t: int) -> float:
+    def _augment(self, s: int, t: int) -> int:
         """Find one augmenting path in the level graph and push along it.
 
         Uses the per-node edge iterators (``self.iter``) so repeated calls
-        within one phase amortize to a blocking flow. Returns 0.0 when the
+        within one phase amortize to a blocking flow. Returns 0 when the
         level graph admits no further path.
         """
         to, cap, lvl, it, graph = self.to, self.cap, self.level, self.iter, self.graph
@@ -80,7 +77,7 @@ class Dinic:
             while it[u] < len(graph[u]):
                 k = graph[u][it[u]]
                 v = to[k]
-                if cap[k] > _EPS and lvl[v] == lvl[u] + 1:
+                if cap[k] > 0 and lvl[v] == lvl[u] + 1:
                     path.append(k)
                     u = v
                     advanced = True
@@ -90,18 +87,18 @@ class Dinic:
                 continue
             lvl[u] = -1  # dead end: prune from level graph
             if u == s:
-                return 0.0
+                return 0
             k = path.pop()
             u = to[k ^ 1]  # tail of the popped edge
             it[u] += 1
 
     # -- public API --------------------------------------------------------
-    def max_flow(self, s: int, t: int) -> float:
+    def max_flow(self, s: int, t: int) -> int:
         """Compute the maximum s→t flow value."""
-        flow = 0.0
+        flow = 0
         while self._bfs(s, t):
             self.iter = [0] * self.n
-            while (f := self._augment(s, t)) > 0.0:
+            while (f := self._augment(s, t)) > 0:
                 flow += f
         return flow
 
@@ -119,7 +116,7 @@ class Dinic:
             u = q.pop()
             for k in graph[u]:
                 v = to[k]
-                if cap[k] > _EPS and not seen[v]:
+                if cap[k] > 0 and not seen[v]:
                     seen[v] = True
                     q.append(v)
         return [i for i, b in enumerate(seen) if b]

@@ -1,33 +1,39 @@
-"""DDS decision network for a fixed ratio ``a = i/j`` and level ``g``.
+"""DDS decision network for a fixed ratio ``a = i/j`` and level ``λ``.
 
 For fixed ``a = i/j`` the skewed density of a pair ``(S,T)`` is
 
-    rho_a(S,T) = 2*sqrt(i*j)*|E(S,T)| / (j*|S| + i*|T|)      (see DESIGN.md)
+    rho_a(S,T) = 2·√(ij)·mu(S,T),   mu(S,T) = |E(S,T)| / (j*|S| + i*|T|)
 
-and the decision "does some pair have rho_a > g" reduces to whether
+(see DESIGN.md), so maximising ``rho_a`` is maximising the rational
+``mu``, and the decision "does some pair have mu > λ" reduces to whether
 
-    h(g) = max_{S,T} [ 2*sqrt(i*j)*|E(S,T)| - g*(j*|S| + i*|T|) ]  >  0.
+    h(λ) = max_{S,T} [ |E(S,T)| - λ*(j*|S| + i*|T|) ]  >  0.
 
-``h`` is a project-selection objective: each edge ``(u,v)`` is a profit-
-``2*sqrt(i*j)`` project requiring machines ``u_out`` (cost ``g*j``) and
-``v_in`` (cost ``g*i``). Its max equals ``total_profit - mincut`` of
+With ``λ = p/q`` in lowest terms, ``q*h`` is an integer min-cut problem on
+a vertex-only network (one node per candidate source and destination):
 
-    s --(2*sqrt(i*j))--> e_uv --(inf)--> u_out --(g*j)--> t
-                              --(inf)--> v_in  --(g*i)--> t
+    s --(q*d_out(u))--> u_out --(p*j)--> t
+                        u_out --(q)----> v_in --(p*i)--> t    per edge (u,v)
 
-and the maximizing pair is read off the source side of the min cut.
-All capacities are pre-scaled by ``2*sqrt(i*j)`` (vs. the unscaled
-``g/(2*sqrt(a))`` form) so the unit of the objective is "edges", keeping
-float error analysis simple.
+A cut with source side ``{s} ∪ S_out ∪ T_in`` costs
+``q*m - q*|E(S,T)| + p*(j*|S| + i*|T|)``, so ``q*h = q*m - mincut`` and the
+maximizing pair is read off the source side. All capacities are integers,
+so the cut value and ``h`` are exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from fractions import Fraction
 
 import numpy as np
 
-from repro.flow.dinic import INF, Dinic
+from repro.flow.dinic import Dinic
+
+
+def network_nodes(n_src: int, n_dst: int) -> int:
+    """Node count of the decision network on ``n_src`` sources and
+    ``n_dst`` destinations: s, t and one node per candidate vertex."""
+    return 2 + n_src + n_dst
 
 
 @dataclass
@@ -37,16 +43,17 @@ class DDSNetwork:
     dinic: Dinic
     src_labels: np.ndarray  # S-side node k+2        -> vertex label src_labels[k]
     dst_labels: np.ndarray  # T-side node k+2+len(S) -> vertex label dst_labels[k]
-    total_profit: float  # 2*sqrt(i*j) * m
+    m: int  # edge count
+    q: int  # denominator of the level; every capacity is scaled by it
 
-    def solve(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Max-flow; returns ``(h, S, T)`` where ``h = profit - mincut``.
+    def solve(self) -> tuple[Fraction, np.ndarray, np.ndarray]:
+        """Max-flow; returns ``(h, S, T)`` with ``h = (q*m - mincut)/q``.
 
         ``S``/``T`` are vertex-label arrays of the maximizing pair (empty
-        when the maximizer is the empty selection, i.e. ``h <= 0``).
+        when the maximizer is the empty selection, i.e. ``h == 0``).
         """
         cut_value = self.dinic.max_flow(0, 1)
-        h = self.total_profit - cut_value
+        h = Fraction(self.q * self.m - cut_value, self.q)
         side = self.dinic.min_cut_source_side(0)
         ns, nt = len(self.src_labels), len(self.dst_labels)
         s_sel = [k - 2 for k in side if 2 <= k < 2 + ns]
@@ -55,38 +62,36 @@ class DDSNetwork:
 
 
 def build_dds_network(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, g: float
+    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
 ) -> DDSNetwork:
     """Build the decision network for edge arrays ``(src, dst)``.
 
     ``src``/``dst`` hold arbitrary integer vertex labels; S-side and
     T-side candidate sets are the distinct sources and destinations.
+    ``lam`` is a non-negative rational level.
     """
     if len(src) != len(dst):
         raise ValueError("src/dst length mismatch")
-    m = len(src)
-    w_edge = 2.0 * sqrt(i * j)
+    p, q = lam.numerator, lam.denominator
     src_labels, s_idx = np.unique(src, return_inverse=True)
     dst_labels, t_idx = np.unique(dst, return_inverse=True)
     ns, nt = len(src_labels), len(dst_labels)
-    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in, then edges
-    net = Dinic(2 + ns + nt + m)
-    for k in range(ns):
-        net.add_edge(2 + k, 1, g * j)
+    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in
+    net = Dinic(network_nodes(ns, nt))
+    for k, d in enumerate(np.bincount(s_idx, minlength=ns).tolist()):
+        net.add_edge(0, 2 + k, q * d)
+        net.add_edge(2 + k, 1, p * j)
     for k in range(nt):
-        net.add_edge(2 + ns + k, 1, g * i)
-    e0 = 2 + ns + nt
-    for e in range(m):
-        net.add_edge(0, e0 + e, w_edge)
-        net.add_edge(e0 + e, 2 + int(s_idx[e]), INF)
-        net.add_edge(e0 + e, 2 + ns + int(t_idx[e]), INF)
-    return DDSNetwork(net, src_labels, dst_labels, w_edge * m)
+        net.add_edge(2 + ns + k, 1, p * i)
+    for u, v in zip(s_idx.tolist(), t_idx.tolist()):
+        net.add_edge(2 + u, 2 + ns + v, q)
+    return DDSNetwork(net, src_labels, dst_labels, len(src), q)
 
 
 def solve_level(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, g: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One-shot: build the network and return ``(h, S, T)`` at level ``g``."""
+    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
+) -> tuple[Fraction, np.ndarray, np.ndarray]:
+    """One-shot: build the network and return ``(h, S, T)`` at level ``lam``."""
     if len(src) == 0:
-        return 0.0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return build_dds_network(src, dst, i, j, g).solve()
+        return Fraction(0), np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    return build_dds_network(src, dst, i, j, lam).solve()

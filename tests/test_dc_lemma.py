@@ -6,15 +6,38 @@ so each is checked against exhaustive enumeration on random graphs.
 """
 import itertools
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_dds
-from repro.core.density import q_factor, rho, skewed
+from repro.core.density import rho, skewed
 from repro.core.exact import solve_ratio
 from repro.core.xycore import max_xy_core, xy_core
 from repro.graph.local import EdgeArrays
+
+
+def q_factor(a: float, r: float) -> float:
+    """q(a,r) = ½(sqrt(r/a) + sqrt(a/r)) ≥ 1 — the DC-lemma stretch factor."""
+    x = sqrt(r / a)
+    return 0.5 * (x + 1.0 / x)
+
+
+def test_q_factor_identity_and_growth():
+    assert q_factor(1.0, 1.0) == pytest.approx(1.0)
+    assert q_factor(2.0, 2.0) == pytest.approx(1.0)
+    assert q_factor(1.0, 4.0) > q_factor(1.0, 2.0) > 1.0
+    # symmetric in log-space
+    assert q_factor(1.0, 4.0) == pytest.approx(q_factor(4.0, 1.0))
+
+
+def test_q_factor_links_rho_and_skewed():
+    """rho = skewed * q(a, own_ratio) — the DC-lemma identity."""
+    m, ns, nt, i, j = 7, 6, 2, 1, 3  # own ratio 3, a = 1/3
+    a = i / j
+    r = ns / nt
+    assert rho(m, ns, nt) == pytest.approx(skewed(m, ns, nt, i, j) * q_factor(a, r))
 
 
 def _random_tiny(seed, n_hi=8, m_hi=20):
@@ -43,7 +66,7 @@ def test_dc_lemma(seed):
     with true ratio in [min(a,c), max(a,c)] is denser than (S,T)."""
     e = _random_tiny(seed)
     i, j = (2, 1) if seed % 2 else (1, 2)
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     assert sol is not None
     a = Fraction(i, j)
     c = sol.ratio
@@ -64,7 +87,7 @@ def test_width_lemma(seed):
     i, j = 1, 1
     a = 1.0
     # exact F(a)
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     f_a = float(sol.skewed2) ** 0.5
     rho_best = f_a * 1.3  # pretend the incumbent is 30% above F(a)
     for S, T in _all_pairs(e):

@@ -5,14 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from repro.core.density import (
-    pair_density,
-    q_factor,
-    rho,
-    rho2_frac,
-    skewed,
-    skewed2_frac,
-)
+from repro.core.density import rho, rho2_frac, skewed, skewed2_frac
 from repro.graph.local import EdgeArrays
 
 
@@ -56,25 +49,9 @@ def test_skewed2_frac_exact_value():
     assert skewed2_frac(4, 2, 3, 2, 3) == Fraction(4 * 2 * 3 * 16, 144)
 
 
-def test_q_factor_identity_and_growth():
-    assert q_factor(1.0, 1.0) == pytest.approx(1.0)
-    assert q_factor(2.0, 2.0) == pytest.approx(1.0)
-    assert q_factor(1.0, 4.0) > q_factor(1.0, 2.0) > 1.0
-    # symmetric in log-space
-    assert q_factor(1.0, 4.0) == pytest.approx(q_factor(4.0, 1.0))
-
-
-def test_q_factor_links_rho_and_skewed():
-    """rho = skewed * q(a, own_ratio) — the DC-lemma identity."""
-    m, ns, nt, i, j = 7, 6, 2, 1, 3  # own ratio 3, a = 1/3
-    a = i / j
-    r = ns / nt
-    assert rho(m, ns, nt) == pytest.approx(skewed(m, ns, nt, i, j) * q_factor(a, r))
-
-
 def test_pair_density():
     e = EdgeArrays(np.array([0, 0, 1]), np.array([2, 3, 2]))
-    assert pair_density(e, np.array([0]), np.array([2, 3])) == pytest.approx(
-        2 / sqrt(2)
+    assert rho(e.edges_between(np.array([0]), np.array([2, 3])), 1, 2) == (
+        pytest.approx(2 / sqrt(2))
     )
-    assert pair_density(e, np.array([5]), np.array([2])) == 0.0
+    assert rho(e.edges_between(np.array([5]), np.array([2])), 1, 1) == 0.0

@@ -1,10 +1,12 @@
 """Unit tests for the Dinic max-flow substrate."""
 import itertools
+from math import inf
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.flow.dinic import INF, Dinic
+from repro.flow.dinic import Dinic
 
 
 def test_single_edge():
@@ -52,7 +54,7 @@ def test_classic_diamond():
 def test_infinite_capacity_passthrough():
     d = Dinic(3)
     d.add_edge(0, 1, 7.0)
-    d.add_edge(1, 2, INF)
+    d.add_edge(1, 2, inf)
     assert d.max_flow(0, 2) == pytest.approx(7.0)
 
 
@@ -83,6 +85,16 @@ def _brute_min_cut(n, edges, s, t):
     return best
 
 
+def _nx_max_flow(n, edges, s, t):
+    """networkx's max-flow value on the same arcs (parallel arcs summed)."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    for u, v, c in edges:
+        prev = g.edges[u, v]["capacity"] if g.has_edge(u, v) else 0
+        g.add_edge(u, v, capacity=prev + c)
+    return nx.maximum_flow_value(g, s, t)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_networks_match_bruteforce_mincut(seed):
     rng = np.random.default_rng(seed)
@@ -99,6 +111,7 @@ def test_random_networks_match_bruteforce_mincut(seed):
         d.add_edge(int(u), int(v), c)
     flow = d.max_flow(0, n - 1)
     assert flow == pytest.approx(_brute_min_cut(n, edges, 0, n - 1))
+    assert flow == _nx_max_flow(n, edges, 0, n - 1)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -116,6 +129,7 @@ def test_min_cut_source_side_is_valid_cut(seed):
         edges.append((int(u), int(v), c))
         d.add_edge(int(u), int(v), c)
     flow = d.max_flow(0, n - 1)
+    assert flow == _nx_max_flow(n, edges, 0, n - 1)
     side = set(d.min_cut_source_side(0))
     assert 0 in side and (n - 1) not in side or flow == 0
     cap = sum(c for (u, v, c) in edges if u in side and v not in side)

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from repro import datasets
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import (
+    _level,
     _thresholds,
     _widen_factor,
     core_exact,
@@ -70,6 +72,15 @@ def test_all_exact_algorithms_agree(name, builder):
     assert ex.rho2 == dc.rho2 == ce.rho2
 
 
+@pytest.mark.parametrize("name", ["s-er", "s-pl"])
+def test_core_exact_matches_dc_exact_midscale(name):
+    """Cross-algorithm agreement where brute force cannot go (m ≈ 580)."""
+    e = datasets.load_local(name)
+    opt2 = dc_exact(e).rho2
+    assert core_exact(e).rho2 == opt2
+    assert core_approx(e).rho2 * 4 >= opt2
+
+
 def test_exact_on_planted_block_finds_it():
     e = gen.planted_dds(60, 60, s_size=5, t_size=6, p_block=1.0, seed=3)
     r = core_exact(e)
@@ -112,11 +123,28 @@ def test_core_exact_stats_present():
 
 
 def test_thresholds_are_safe_lower_bounds():
-    # at g=4, a=1: every argmax vertex has degree >= 2 → x=y=2
-    assert _thresholds(4.0, 1, 1) == (2, 2)
-    # never rounds past the true value on representable floats
-    assert _thresholds(3.9999999999, 1, 1) == (2, 2)
-    assert _thresholds(0.1, 1, 1) == (1, 1)
+    from fractions import Fraction
+
+    # at λ=2 (ρ_a level 4), a=1: every argmax vertex has degree >= 2 → x=y=2
+    assert _thresholds(Fraction(2), 1, 1) == (2, 2)
+    # never rounds past the true value just below an integer
+    assert _thresholds(Fraction(19999999999, 10**10), 1, 1) == (2, 2)
+    assert _thresholds(Fraction(1, 20), 1, 1) == (1, 1)
+    # λ·j = 4 is an integer and stays 4; λ·i = 4/3 rounds up to 2
+    assert _thresholds(Fraction(4, 3), 1, 3) == (4, 2)
+
+
+def test_level_rounds_down_and_is_exact_on_rational_roots():
+    from fractions import Fraction
+
+    # ρ_a² = 9 at a = 1: μ-level √(9/4) = 3/2 exactly
+    assert _level(Fraction(9), 1, 1) == Fraction(3, 2)
+    # ρ_a² = 8·(4/5)² at a = 2/1: √(8·16/25/8) = 4/5 exactly
+    assert _level(Fraction(8) * Fraction(4, 5) ** 2, 2, 1) == Fraction(4, 5)
+    for rho2, i, j in [(Fraction(2), 1, 1), (Fraction(825, 31), 3, 2)]:
+        lam = _level(rho2, i, j)
+        assert 4 * i * j * lam**2 < rho2  # irrational root: strictly below
+        assert 4 * i * j * (lam + Fraction(1, 2**60)) ** 2 > rho2  # and close
 
 
 def test_widen_factor_monotone_and_safe():
@@ -126,7 +154,7 @@ def test_widen_factor_monotone_and_safe():
     b1, b2 = _widen_factor(1.1), _widen_factor(1.5)
     assert 1 < b1 < b2
     # q(a, a*beta) must stay <= rho_ratio (the safety direction)
-    from repro.core.density import q_factor
+    from tests.test_dc_lemma import q_factor
 
     for rr in (1.01, 1.25, 2.0):
         beta = float(_widen_factor(rr))
@@ -143,7 +171,7 @@ def test_solve_ratio_returns_fixed_ratio_optimum(seed):
 
     e = _random_tiny(seed + 300)
     i, j = 2, 1
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     # brute force F(a)
     s_all = np.unique(e.src).tolist()
     t_all = np.unique(e.dst).tolist()

@@ -1,26 +1,33 @@
-"""Tests for the DDS decision network (project-selection reduction)."""
+"""Tests for the DDS decision network (vertex-only min-cut reduction)."""
 import itertools
+from fractions import Fraction
 from math import sqrt
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.flow.network import build_dds_network, solve_level
+from repro.flow.network import build_dds_network, network_nodes, solve_level
+from repro.graph import generators as gen
 from repro.graph.local import EdgeArrays
 
 
-def _brute_h(src, dst, i, j, g):
-    """max over all (S,T) of 2*sqrt(ij)*|E(S,T)| - g*(j|S| + i|T|)."""
+def _mu_level(g, i, j):
+    """A rational μ-level near the ρ_a-level g = 2·√(ij)·λ."""
+    return Fraction(g / (2 * sqrt(i * j))).limit_denominator(100)
+
+
+def _brute_h(src, dst, i, j, lam):
+    """max over all (S,T) of |E(S,T)| - λ*(j|S| + i|T|)."""
     s_all = sorted(set(src.tolist()))
     t_all = sorted(set(dst.tolist()))
-    best = 0.0  # empty selection
-    w = 2.0 * sqrt(i * j)
+    best = Fraction(0)  # empty selection
     for ks in range(len(s_all) + 1):
         for S in itertools.combinations(s_all, ks):
             for kt in range(len(t_all) + 1):
                 for T in itertools.combinations(t_all, kt):
                     m = sum(1 for u, v in zip(src, dst) if u in S and v in T)
-                    best = max(best, w * m - g * (j * len(S) + i * len(T)))
+                    best = max(best, m - lam * (j * len(S) + i * len(T)))
     return best
 
 
@@ -39,55 +46,68 @@ def _tiny_graph(seed):
 @pytest.mark.parametrize("g", [0.3, 1.0, 2.5])
 def test_h_matches_bruteforce(seed, i, j, g):
     src, dst = _tiny_graph(seed)
-    h, S, T = solve_level(src, dst, i, j, g)
-    assert h == pytest.approx(_brute_h(src, dst, i, j, g), abs=1e-6)
+    lam = _mu_level(g, i, j)
+    h, S, T = solve_level(src, dst, i, j, lam)
+    assert h == _brute_h(src, dst, i, j, lam)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_h_matches_bruteforce_at_non_dyadic_level(seed, i, j):
+    """λ = 1/3 has no exact float; the integer network must still be exact."""
+    src, dst = _tiny_graph(seed)
+    h, S, T = solve_level(src, dst, i, j, Fraction(1, 3))
+    assert h == _brute_h(src, dst, i, j, Fraction(1, 3))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_witness_attains_h(seed):
     """The decoded (S,T) must itself achieve the reported objective."""
     src, dst = _tiny_graph(seed + 50)
-    i, j, g = 2, 3, 0.8
-    h, S, T = solve_level(src, dst, i, j, g)
+    i, j = 2, 3
+    lam = _mu_level(0.8, i, j)
+    h, S, T = solve_level(src, dst, i, j, lam)
     if len(S) == 0:
-        assert h == pytest.approx(0.0, abs=1e-9)
+        assert h == 0
         return
     e = EdgeArrays(src.astype(np.int64), dst.astype(np.int64))
     m_st = e.edges_between(S, T)
-    val = 2.0 * sqrt(i * j) * m_st - g * (j * len(S) + i * len(T))
-    assert val == pytest.approx(h, abs=1e-6)
+    assert m_st - lam * (j * len(S) + i * len(T)) == h
 
 
 def test_high_level_selects_nothing():
     src = np.array([0, 1, 2], dtype=np.int64)
     dst = np.array([1, 2, 0], dtype=np.int64)
-    h, S, T = solve_level(src, dst, 1, 1, g=100.0)
-    assert h == pytest.approx(0.0, abs=1e-9)
+    h, S, T = solve_level(src, dst, 1, 1, lam=Fraction(50))
+    assert h == 0
     assert len(S) == 0 and len(T) == 0
 
 
 def test_zero_level_selects_everything():
     src = np.array([0, 1, 2], dtype=np.int64)
     dst = np.array([1, 2, 0], dtype=np.int64)
-    h, S, T = solve_level(src, dst, 1, 1, g=0.0)
-    # at g=0 selecting all edges costs nothing and earns 2*m
-    assert h == pytest.approx(2.0 * 3, abs=1e-9)
+    h, S, T = solve_level(src, dst, 1, 1, lam=Fraction(0))
+    # at λ=0 selecting all edges costs nothing and earns m
+    assert h == 3
     assert set(S) == {0, 1, 2} and set(T) == {0, 1, 2}
 
 
 def test_empty_graph():
     z = np.array([], dtype=np.int64)
-    h, S, T = solve_level(z, z, 1, 1, 1.0)
-    assert h == 0.0 and len(S) == 0 and len(T) == 0
+    h, S, T = solve_level(z, z, 1, 1, Fraction(1))
+    assert h == 0 and len(S) == 0 and len(T) == 0
 
 
 def test_network_shape():
     src = np.array([0, 0, 1], dtype=np.int64)
     dst = np.array([1, 2, 2], dtype=np.int64)
-    net = build_dds_network(src, dst, 1, 2, 1.0)
-    # nodes: s, t, 2 sources, 2 destinations, 3 edges
-    assert net.dinic.n == 2 + 2 + 2 + 3
-    assert net.total_profit == pytest.approx(2 * sqrt(2) * 3)
+    net = build_dds_network(src, dst, 1, 2, Fraction(2, 3))
+    # nodes: s, t, 2 sources, 2 destinations; no node per edge
+    assert net.dinic.n == network_nodes(2, 2) == 2 + 2 + 2
+    # arcs: one per edge, s→u_out and u_out→t per source, v_in→t per destination
+    assert len(net.dinic.to) // 2 == 3 + 2 * 2 + 2
+    assert all(isinstance(c, int) for c in net.dinic.cap)
+    assert (net.m, net.q) == (3, 3)
     assert list(net.src_labels) == [0, 1]
     assert list(net.dst_labels) == [1, 2]
 
@@ -95,5 +115,41 @@ def test_network_shape():
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         build_dds_network(
-            np.array([0, 1]), np.array([1]), 1, 1, 1.0
+            np.array([0, 1]), np.array([1]), 1, 1, Fraction(1)
         )
+
+
+# --- networkx as an independent min-cut oracle -------------------------------
+
+
+def _nx_h(src, dst, i, j, lam):
+    """h at level λ from networkx's min cut on the vertex network, built
+    here from the edge list alone."""
+    p, q = lam.numerator, lam.denominator
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for u, d in zip(*np.unique(src, return_counts=True)):
+        g.add_edge("s", ("out", int(u)), capacity=q * int(d))
+        g.add_edge(("out", int(u)), "t", capacity=p * j)
+    for v in np.unique(dst):
+        g.add_edge(("in", int(v)), "t", capacity=p * i)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        g.add_edge(("out", u), ("in", v), capacity=q)
+    cut, _ = nx.minimum_cut(g, "s", "t")
+    return Fraction(q * len(src) - cut, q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(11, 10)])
+def test_h_matches_networkx_min_cut(seed, i, j, scale):
+    """On graphs of 100–300 edges, where enumeration cannot go, h and the
+    decoded (S,T) must agree with networkx's min cut."""
+    make = gen.er_directed if seed % 2 else gen.powerlaw_directed
+    e = make(40, int(np.random.default_rng(seed).integers(100, 301)), seed=seed)
+    assert 100 <= e.m <= 300
+    # around the full graph's own μ, where the cut is neither empty nor full
+    lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
+    h, S, T = solve_level(e.src, e.dst, i, j, lam)
+    assert h == _nx_h(e.src, e.dst, i, j, lam)
+    assert e.edges_between(S, T) - lam * (j * len(S) + i * len(T)) == h
