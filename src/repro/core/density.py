@@ -7,8 +7,7 @@ its square is rational with denominator ≤ n², and for a fixed ratio
     rho_a(S,T) = 2*sqrt(i*j)*|E| / (j*|S| + i*|T|)
 
 also has a rational square. All "is this pair better" comparisons are
-therefore done on exact Fractions; floats appear only for reporting and
-in Core-Exact's ratio-widening radius (``exact._widen_factor``).
+therefore done on exact Fractions; floats appear only for reporting.
 """
 from __future__ import annotations
 

@@ -27,13 +27,17 @@ exactly the axes of the paper's contribution:
   core, the core is re-shrunk as Dinkelbach's level grows, and a ratio
   whose core at level ρ_best is already empty is skipped outright (it
   cannot contain the optimum unless ρ_best = ρ_opt already, because the
-  DDS itself satisfies the degree bounds at its own ratio).
+  DDS itself satisfies the degree bounds at its own ratio). Every probed
+  ratio, solved or not, yields an exact upper bound F_ub ≥ F(a), and the
+  same identity settles every r with q(a,r) ≤ ρ_best/F_ub; the radius
+  (``_widen_factor``) is exact ``Fraction`` arithmetic rounded down.
+
+Both DC algorithms share one work-list loop, ``_sweep``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, sqrt
+from math import ceil, floor, isqrt
 
 import numpy as np
 
@@ -45,7 +49,14 @@ from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
 from repro.flow.network import network_nodes, solve_level
 from repro.graph.local import EdgeArrays, check_no_duplicates
 
-_ROOT_DIGITS = 2**64  # resolution of a level rounded down from an irrational root
+_ROOT_DIGITS = 2**64  # resolution of a value rounded down from an irrational root
+_PROBE_DELTA = Fraction(1, 5)  # δ: Core-Exact probes each ratio at ρ_best·(1−δ)
+
+
+def _sqrt_down(x: Fraction) -> Fraction:
+    """A Fraction never above √x, and equal to it whenever √x is rational."""
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt(n * d * _ROOT_DIGITS**2), d * _ROOT_DIGITS)
 
 
 def _level(rho2: Fraction, i: int, j: int) -> Fraction:
@@ -56,31 +67,12 @@ def _level(rho2: Fraction, i: int, j: int) -> Fraction:
     at the root. The resolution only decides whether a μ lying between λ
     and an irrational root costs one extra Dinkelbach step.
     """
-    x = rho2 / (4 * i * j)
-    n, d = x.numerator, x.denominator
-    return Fraction(isqrt(n * d * _ROOT_DIGITS**2), d * _ROOT_DIGITS)
+    return _sqrt_down(rho2 / (4 * i * j))
 
 
 def _thresholds(lam: Fraction, i: int, j: int) -> tuple[int, int]:
     """Degree bounds (x, y) every h-argmax at level λ satisfies."""
     return max(1, ceil(lam * j)), max(1, ceil(lam * i))
-
-
-@dataclass
-class RatioSolution:
-    """Outcome of one fixed-ratio solve: the F(a)-argmax witness."""
-
-    S: np.ndarray
-    T: np.ndarray
-    edges_st: int
-    skewed2: Fraction  # F(a)² (exact)
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(len(self.S), len(self.T))
-
-    def as_result(self, stats: dict | None = None) -> DDSResult:
-        return DDSResult(self.S, self.T, self.edges_st, stats or {})
 
 
 def solve_ratio(
@@ -91,19 +83,18 @@ def solve_ratio(
     *,
     prune_cores: bool = False,
     stats: dict | None = None,
-) -> RatioSolution | None:
+) -> DDSResult | None:
     """Dinkelbach on μ = ρ_a/(2√(ij)), a = i/j, starting at level ``lam0``.
 
-    Returns the argmax of ρ_a if some pair has μ > ``lam0``, else None
-    (meaning F(a) ≤ 2√(ij)·lam0 — the caller settles just the point a).
-    With ``prune_cores`` every iteration first shrinks the graph to the
-    [x(λ),y(λ)]-core; cores are nested as λ grows, so shrinking the
-    *current* core is valid.
+    Returns the F(a)-argmax pair if some pair has μ > ``lam0``, else None
+    (meaning F(a) ≤ 2√(ij)·lam0). With ``prune_cores`` every iteration
+    first shrinks the graph to the [x(λ),y(λ)]-core; cores are nested as λ
+    grows, so shrinking the *current* core is valid.
     """
     st = stats if stats is not None else {}
     cur = e
     lam = lam0
-    best: RatioSolution | None = None
+    best: DDSResult | None = None
     nodes = 0
     while True:
         if prune_cores:
@@ -123,13 +114,27 @@ def solve_ratio(
         mu = Fraction(m_st, j * len(s_sel) + i * len(t_sel))
         if mu <= lam:  # no strict improvement — converged
             return best
-        sk2 = skewed2_frac(m_st, len(s_sel), len(t_sel), i, j)
-        best = RatioSolution(s_sel, t_sel, m_st, sk2)
+        best = DDSResult(s_sel, t_sel, m_st)
         lam = mu
 
 
 def _full_graph_pair(e: EdgeArrays) -> DDSResult:
     return DDSResult(np.unique(e.src), np.unique(e.dst), e.m, {})
+
+
+def _sweep(lo: Fraction, hi: Fraction, ns: int, nt: int, settle) -> None:
+    """Settle every candidate ratio in the open interval (lo, hi): pick one
+    with ``candidate_in``, let ``settle`` return the closed interval around
+    it that is settled, and search the open gaps on either side in turn."""
+    work = [(lo, hi)]
+    while work:
+        lo, hi = work.pop()
+        a = candidate_in(lo, hi, ns, nt)
+        if a is None:
+            continue
+        s_lo, s_hi = settle(a)
+        work.append((lo, s_lo))
+        work.append((s_hi, hi))
 
 
 def exact_dds(e: EdgeArrays) -> DDSResult:
@@ -144,10 +149,8 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     for a in ratios:
         i, j = a.numerator, a.denominator
         sol = solve_ratio(e, i, j, _level(best.rho2, i, j), stats=stats)
-        if sol is not None:
-            cand = sol.as_result()
-            if cand.better_than(best):
-                best = cand
+        if sol is not None and sol.better_than(best):
+            best = sol
     stats["ratios_solved"] = len(ratios)
     best.stats = stats
     return best
@@ -168,52 +171,48 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
     best = _full_graph_pair(e)
     ns, nt = e.n_src, e.n_dst
 
-    def full_solve(a: Fraction) -> Fraction:
-        """Solve ratio a to its F(a)-argmax; returns the argmax ratio c."""
+    def settle(a: Fraction) -> tuple[Fraction, Fraction]:
+        """Solve ratio a to its F(a)-argmax, of ratio c; settles [a, c] or [c, a]."""
         nonlocal best
         i, j = a.numerator, a.denominator
         sol = solve_ratio(e, i, j, _self_lower_bound(e, i, j), stats=stats)
         stats["ratios_solved"] += 1
-        if sol is None:
-            # the full graph itself attains F(a)
+        if sol is None:  # the full graph itself attains F(a)
             c = Fraction(ns, nt)
         else:
-            c = sol.ratio
-            cand = sol.as_result()
-            if cand.better_than(best):
-                best = cand
-        return c
+            c = Fraction(len(sol.S), len(sol.T))
+            if sol.better_than(best):
+                best = sol
+        return min(a, c), max(a, c)
 
+    # every argmax ratio lies in [a_min, a_max], so these two solves settle
+    # [a_min, c(a_min)] and [c(a_max), a_max]
     a_min, a_max = Fraction(1, nt), Fraction(ns, 1)
-    c1 = full_solve(a_min)
-    c2 = full_solve(a_max) if a_max != a_min else c1
-    work = [(max(a_min, c1), min(a_max, c2))]
-    while work:
-        lo, hi = work.pop()
-        a = candidate_in(lo, hi, ns, nt)
-        if a is None:
-            continue
-        c = full_solve(a)
-        work.append((lo, min(a, c)))
-        work.append((max(a, c), hi))
+    lo = settle(a_min)[1]
+    hi = settle(a_max)[0] if a_max != a_min else lo
+    _sweep(lo, hi, ns, nt, settle)
     best.stats = stats
     return best
 
 
-def _widen_factor(rho_ratio: float) -> Fraction:
-    """Largest β with q(a, a·β) ≤ rho_ratio (conservatively rounded down).
+def _widen_factor(r2: Fraction) -> Fraction:
+    """Largest β on the 1/_ROOT_DIGITS grid with q(a, a·β)² ≤ r2.
 
-    From q(a,r) = ½(√(r/a)+√(a/r)) = rho_ratio one gets
-    r/a = (rho_ratio + sqrt(rho_ratio²−1))². Settling a *smaller* radius
-    is always safe, so the float result is shrunk by 1e-9 before use.
+    q(a, a·β)² = (β + 1/β + 2)/4, and β + 1/β increases for β ≥ 1, so the
+    bound holds up to the larger root of β + 1/β = k, k = 4·r2 − 2:
+    β = (k + √(k² − 4))/2. The square root is rounded down and β is then
+    floored onto the grid, so the result never exceeds the root (settling
+    a smaller radius is always safe) and the interval endpoints built from
+    it keep small denominators.
     """
-    if rho_ratio <= 1.0:
+    if r2 <= 1:
         return Fraction(1)
-    root = rho_ratio + sqrt(rho_ratio * rho_ratio - 1.0)
-    return Fraction(root * root * (1.0 - 1e-9)).limit_denominator(10**12)
+    k = 4 * r2 - 2
+    beta = (k + _sqrt_down(k * k - 4)) / 2
+    return Fraction(floor(beta * _ROOT_DIGITS), _ROOT_DIGITS)
 
 
-def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
+def core_exact(edges) -> DDSResult:
     """Core-Exact: Core-Approx seeding + core-pruned DC (the paper's best).
 
     ``edges`` may be an EdgeArrays or an edge DataFrame. A DataFrame
@@ -222,19 +221,21 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
     each core probe runs Catalyst rounds until its core is within the
     budget, and only that core is collected for flow.
 
-    Each ratio is probed at the μ-level λ of ρ_a = ρ_best·(1−δ), rounded
-    down to a Fraction (`_level`). A failed probe (empty level-core, or
-    min-cut finds nothing above λ) proves F(a) ≤ 2√(ij)·λ ≤ ρ_best·(1−δ),
-    and then every pair with ratio r satisfies
-    ρ ≤ F(a)·q(a,r) ≤ ρ_best for q(a,r) ≤ 1/(1−δ) — settling the whole
-    multiplicative interval [a/β, a·β] with β = `_widen_factor(1/(1−δ))`
-    instead of the single point a. A successful probe runs Dinkelbach to
-    the exact F(a)-argmax and settles the union of the DC-lemma interval
-    [min(a,c), max(a,c)] and the (possibly wider) radius
-    β = `_widen_factor(ρ_best/F(a))`.
+    Each ratio a = i/j is probed at the μ-level λ of ρ_a = ρ_best·(1−δ),
+    δ = ``_PROBE_DELTA``, rounded down to a Fraction (`_level`). Every
+    probe ends with an exact upper bound F_ub² ≥ F(a)²:
+
+    - solved (min-cut finds a pair above λ): Dinkelbach runs to the
+      F(a)-argmax (S, T), and F_ub² = F(a)² = ρ_a(S,T)²;
+    - failed (empty level-core, or no pair above λ): F(a) ≤ 2√(ij)·λ, so
+      F_ub² = 4ij·λ².
+
+    Any pair with ratio r has ρ ≤ F(a)·q(a,r) ≤ ρ_best whenever
+    q(a,r)² ≤ ρ_best²/F_ub², which holds on [a/β, a·β] for
+    β = `_widen_factor(ρ_best²/F_ub²)`. One rule settles every probed
+    ratio: [min(a/β, c), max(a·β, c)], where c = |S|/|T| when solved (the
+    DC-lemma interval) and c = a otherwise.
     """
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must be in [0, 1)")
     ns, nt, m = engine_for(edges).counts(edges)
     if m == 0:
         z = np.array([], dtype=np.int64)
@@ -245,6 +246,8 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
         "algo": "core-exact",
         "ratios_solved": 0,
         "ratios_skipped_empty_core": 0,
+        "core_probes_exact": 0,
+        "cuts": 0, "max_flow_nodes": 0, "core_sizes": [],  # also when no ratio is solved
     }
     approx = core_approx(edges)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
@@ -255,16 +258,14 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
     if full_rho2 > best.rho2:
         best = _full_graph_pair(to_local(edges))
 
-    fail_beta = _widen_factor(1.0 / (1.0 - delta)) if delta > 0 else Fraction(1)
-
-    def core_solve(a: Fraction) -> tuple[Fraction, Fraction]:
+    def settle(a: Fraction) -> tuple[Fraction, Fraction]:
         """Probe/solve ratio a; returns the settled closed ratio interval."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        lam_probe = _level(best.rho2 * Fraction(1.0 - delta) ** 2, i, j)
+        lam_probe = _level(best.rho2 * (1 - _PROBE_DELTA) ** 2, i, j)
         x, y = _thresholds(lam_probe, i, j)
         core_state = eng.core(edges, x, y)
-        stats["core_probes_exact"] = stats.get("core_probes_exact", 0) + 1
+        stats["core_probes_exact"] += 1
         sol = None
         if eng.m(core_state) == 0:
             stats["ratios_skipped_empty_core"] += 1
@@ -272,27 +273,18 @@ def core_exact(edges, *, delta: float = 0.2) -> DDSResult:
             local = to_local(core_state)
             sol = solve_ratio(local, i, j, lam_probe, prune_cores=True, stats=stats)
             stats["ratios_solved"] += 1
-        if sol is None:  # F(a) <= ρ_best·(1−δ): settle the δ-radius around a
-            return a / fail_beta, a * fail_beta
-        cand = sol.as_result()
-        if cand.better_than(best):
-            best = cand
-        c = sol.ratio
-        # exact DC interval ∪ widened radius from ρ_best/F(a) ≥ 1
-        beta = _widen_factor(best.rho / sqrt(float(sol.skewed2)) * (1.0 - 1e-12))
-        return min(a / beta, a, c), max(a * beta, a, c)
+        if sol is None:
+            c, f_ub2 = a, 4 * i * j * lam_probe**2
+        else:
+            if sol.better_than(best):
+                best = sol
+            c = Fraction(len(sol.S), len(sol.T))
+            f_ub2 = skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j)
+        beta = _widen_factor(best.rho2 / f_ub2)
+        return min(a / beta, c), max(a * beta, c)
 
-    a_min, a_max = Fraction(1, nt), Fraction(ns, 1)
     # seed slightly beyond the candidate range so the extreme candidates
     # themselves are reachable through the open-interval search
-    work: list[tuple[Fraction, Fraction]] = [(a_min / 2, a_max * 2)]
-    while work:
-        lo, hi = work.pop()
-        a = candidate_in(lo, hi, ns, nt)
-        if a is None:
-            continue
-        s_lo, s_hi = core_solve(a)
-        work.append((lo, s_lo))
-        work.append((s_hi, hi))
-    best.stats = {**best.stats, **stats}
+    _sweep(Fraction(1, nt) / 2, Fraction(ns, 1) * 2, ns, nt, settle)
+    best.stats = stats
     return best

@@ -7,8 +7,10 @@ how much of this O(n²) space they touch:
 - ``all_candidate_ratios`` — full enumeration (the Exact baseline).
 - ``candidate_in`` — "some candidate strictly inside an open interval",
   used by DC-Exact/Core-Exact to pick the next ratio to solve. This is a
-  Farey-style scan over denominators: O(max_den) per call, called only
-  O(#solves) times, so it never dominates.
+  Farey-style scan over denominators: O(max_den) per call, called
+  O(#settled ratios) times. On a large sparse graph it dominates: on
+  m-plant (n_dst ≈ 5 000) its 27–29 calls take about 0.45 s of a 0.6 s
+  Core-Exact call (4-core x86 VM, Python 3.11).
 - ``geometric_grid`` — the (1+ε)-grid the approximation baselines sweep.
 """
 from __future__ import annotations

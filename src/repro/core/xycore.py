@@ -244,46 +244,34 @@ def max_xy_core(edges) -> XYCoreResult:
     eng = engine_for(edges)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub = eng.max_out_degree(edges)
-    best: XYCoreResult | None = None
+    best = XYCoreResult(0, 0, empty_edges(), stats)  # x = 1 replaces it: y_max(1) ≥ 1
     ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
     bases: dict = {}  # evaluated x -> its [x,1]-core (engine state)
 
-    def evaluate(x: int) -> int:
-        below = sorted(e for e in bases if e < x)
-        start = bases[below[-1]] if below else edges
-        for e in below[:-1]:  # later x start from below[-1] or above
-            del bases[e]
+    def evaluate(x: int, start) -> int:
+        nonlocal best
         y, core, bases[x] = _y_max(start, x, eng, stats)
         stats["x_evaluated"] += 1
         ymax_at[x] = y
-        nonlocal best
-        if y > 0 and (best is None or x * y > best.x * best.y):
+        if x * y > best.x * best.y:
             best = XYCoreResult(x, y, to_local(core), stats)
         return y
 
-    if x_ub == 0:
-        return XYCoreResult(0, 0, empty_edges(), stats)
     # geometric seeding
-    x = 1
-    while x <= x_ub:
-        if evaluate(x) == 0:
-            break
+    x, start = 1, edges
+    while x <= x_ub and evaluate(x, start) > 0:
+        start = bases[x]
         x *= 2
-    # ascending scan with monotone-bound skip
-    evaluated = sorted(ymax_at)
-    for x in range(1, x_ub + 1):
+    # ascending scan with monotone-bound skip; prev is the largest
+    # evaluated x' < x, whose y_max bounds y_max(x) and whose core holds x's
+    prev = 1
+    for x in range(2, x_ub + 1):
         if x in ymax_at:
-            continue
-        # tightest known bound: y_max at the largest evaluated x' <= x
-        below = [e for e in evaluated if e < x]
-        ub = x * ymax_at[max(below)] if below else None
-        if best is not None and ub is not None and ub <= best.x * best.y:
+            prev = x
+        elif x * ymax_at[prev] <= best.x * best.y:
             stats["x_skipped"] += 1
-            continue
-        if evaluate(x) == 0:
+        elif evaluate(x, bases.pop(prev)) == 0:
             break
-        evaluated = sorted(ymax_at)
-    if best is None:
-        return XYCoreResult(0, 0, empty_edges(), stats)
-    best.stats = stats
+        else:
+            prev = x
     return best

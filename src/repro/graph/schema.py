@@ -4,7 +4,7 @@ A directed graph is a DataFrame with two non-null long columns,
 ``src`` and ``dst``. The graph model follows the paper: undirected
 multiplicity is meaningless for density, so edges are deduplicated;
 self-loops are legal (S and T may overlap in the DDS problem) and are
-kept unless the caller strips them.
+kept.
 """
 from __future__ import annotations
 
@@ -30,18 +30,15 @@ def edges_from_arrays(
     return normalize_edges(spark.createDataFrame(pdf, schema=EDGE_SCHEMA))
 
 
-def normalize_edges(edges: DataFrame, *, drop_self_loops: bool = False) -> DataFrame:
-    """Cast to long, drop nulls, deduplicate; optionally drop self-loops.
+def normalize_edges(edges: DataFrame) -> DataFrame:
+    """Cast to long, drop nulls, deduplicate.
 
     Idempotent — safe to call on already-normalized frames.
     """
-    e = (
+    return (
         edges.select(
             F.col(SRC).cast("long").alias(SRC), F.col(DST).cast("long").alias(DST)
         )
         .dropna()
         .dropDuplicates([SRC, DST])
     )
-    if drop_self_loops:
-        e = e.filter(F.col(SRC) != F.col(DST))
-    return e

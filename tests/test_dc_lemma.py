@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_dds
-from repro.core.density import rho, skewed
+from repro.core.density import rho, skewed, skewed2_frac
 from repro.core.exact import solve_ratio
 from repro.core.xycore import max_xy_core, xy_core
 from repro.graph.local import EdgeArrays
@@ -69,9 +69,9 @@ def test_dc_lemma(seed):
     sol = solve_ratio(e, i, j, Fraction(0))
     assert sol is not None
     a = Fraction(i, j)
-    c = sol.ratio
+    c = Fraction(len(sol.S), len(sol.T))
     lo, hi = min(a, c), max(a, c)
-    settled_rho2 = sol.as_result().rho2
+    settled_rho2 = sol.rho2
     for S, T in _all_pairs(e):
         r = Fraction(len(S), len(T))
         if lo <= r <= hi:
@@ -88,7 +88,7 @@ def test_width_lemma(seed):
     a = 1.0
     # exact F(a)
     sol = solve_ratio(e, i, j, Fraction(0))
-    f_a = float(sol.skewed2) ** 0.5
+    f_a = float(skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j)) ** 0.5
     rho_best = f_a * 1.3  # pretend the incumbent is 30% above F(a)
     for S, T in _all_pairs(e):
         r = len(S) / len(T)

@@ -1,8 +1,11 @@
 """The exact algorithms against brute force and against each other."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro import datasets
+from repro.core import exact
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import (
@@ -46,16 +49,16 @@ def test_core_exact_matches_bruteforce(seed):
     assert core_exact(e).rho2 == brute_force_dds(e).rho2
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.05, 0.2, 0.5])
-def test_core_exact_delta_invariance(delta):
+@pytest.mark.parametrize(
+    "delta",
+    [Fraction(0), Fraction(1, 20), Fraction(1, 5), Fraction(1, 2)],
+    ids=["0.0", "0.05", "0.2", "0.5"],
+)
+def test_core_exact_delta_invariance(delta, monkeypatch):
     """The probe depth δ trades work for pruning but never the answer."""
+    monkeypatch.setattr(exact, "_PROBE_DELTA", delta)
     e = gen.powerlaw_directed(40, 200, seed=12)
-    assert core_exact(e, delta=delta).rho2 == dc_exact(e).rho2
-
-
-def test_core_exact_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        core_exact(_random_tiny(0), delta=1.0)
+    assert core_exact(e).rho2 == dc_exact(e).rho2
 
 
 @pytest.mark.parametrize(
@@ -119,12 +122,22 @@ def test_core_exact_stats_present():
         assert key in st
 
 
+def test_core_exact_stats_schema_does_not_depend_on_the_winner():
+    """Core-Exact reports one key set whether Core-Approx's seed or a flow
+    solve is the answer; Core-Approx's own keys do not leak into it."""
+    hub = gen.powerlaw_directed(60, 150, seed=0)  # densest pair: a hub star
+    er = gen.er_directed(40, 160, seed=11)
+    seeded, solved = core_exact(hub), core_exact(er)
+    assert seeded.rho2 == core_approx(hub).rho2
+    assert solved.rho2 > core_approx(er).rho2
+    assert set(seeded.stats) == set(solved.stats)
+    assert isinstance(seeded.stats["core_sizes"], list)
+
+
 # --- subroutine-level tests -------------------------------------------------
 
 
 def test_thresholds_are_safe_lower_bounds():
-    from fractions import Fraction
-
     # at λ=2 (ρ_a level 4), a=1: every argmax vertex has degree >= 2 → x=y=2
     assert _thresholds(Fraction(2), 1, 1) == (2, 2)
     # never rounds past the true value just below an integer
@@ -135,8 +148,6 @@ def test_thresholds_are_safe_lower_bounds():
 
 
 def test_level_rounds_down_and_is_exact_on_rational_roots():
-    from fractions import Fraction
-
     # ρ_a² = 9 at a = 1: μ-level √(9/4) = 3/2 exactly
     assert _level(Fraction(9), 1, 1) == Fraction(3, 2)
     # ρ_a² = 8·(4/5)² at a = 2/1: √(8·16/25/8) = 4/5 exactly
@@ -148,24 +159,25 @@ def test_level_rounds_down_and_is_exact_on_rational_roots():
 
 
 def test_widen_factor_monotone_and_safe():
-    from fractions import Fraction
-
-    assert _widen_factor(1.0) == Fraction(1)
-    b1, b2 = _widen_factor(1.1), _widen_factor(1.5)
+    assert _widen_factor(Fraction(1)) == Fraction(1)
+    assert _widen_factor(Fraction(1, 2)) == Fraction(1)
+    b1, b2 = _widen_factor(Fraction(11, 10) ** 2), _widen_factor(Fraction(3, 2) ** 2)
     assert 1 < b1 < b2
-    # q(a, a*beta) must stay <= rho_ratio (the safety direction)
-    from tests.test_dc_lemma import q_factor
-
-    for rr in (1.01, 1.25, 2.0):
-        beta = float(_widen_factor(rr))
-        assert q_factor(1.0, beta) <= rr + 1e-9
+    # q(a, a·β)² = (β + 1/β + 2)/4 must stay <= r2 (the safety direction),
+    # and the radius is tight: one step of 2⁻⁶⁰ further already breaks it
+    rational_roots = (Fraction(101, 100) ** 2, Fraction(5, 4) ** 2, Fraction(4))
+    for r2 in (*rational_roots, Fraction(2), Fraction(825, 31)):
+        beta = _widen_factor(r2)
+        assert isinstance(beta, Fraction)
+        assert (beta + 1 / beta + 2) / 4 <= r2
+        up = beta + Fraction(1, 2**60)
+        assert (up + 1 / up + 2) / 4 > r2
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_ratio_returns_fixed_ratio_optimum(seed):
     """Dinkelbach must find max skewed density for the given ratio."""
     import itertools
-    from fractions import Fraction
 
     from repro.core.density import skewed2_frac
 
@@ -183,7 +195,7 @@ def test_solve_ratio_returns_fixed_ratio_optimum(seed):
                     m = e.edges_between(np.array(S), np.array(T))
                     best = max(best, skewed2_frac(m, ks, kt, i, j))
     assert sol is not None
-    assert sol.skewed2 == best
+    assert skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j) == best
 
 
 def _repeated_edges():
