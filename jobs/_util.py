@@ -1,4 +1,4 @@
-"""Shared plumbing for the spark-submit table jobs."""
+"""Shared plumbing for the table jobs."""
 from __future__ import annotations
 
 import os

@@ -1,6 +1,6 @@
 """T4 — approximation accuracy: ρ_algo / ρ_opt where exact is feasible.
 
-Usage: spark-submit jobs/table_accuracy.py [--sets xs-er,...] [--eps 0.5]
+Usage: python jobs/table_accuracy.py [--sets xs-er,...] [--eps 0.5]
 The theoretical floors are 1/2 (Core-Approx), 1/(2(1+ε)) (KS-Approx)
 and 1/(2(1+ε)²) (BS-Approx); the paper's observation — reproduced
 here — is that actual ratios sit near 1.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-from _util import get_spark, print_table
+from _util import print_table
 
 from repro import datasets
 from repro.core.approx import bs_approx, core_approx, ks_approx
@@ -18,7 +18,7 @@ from repro.core.exact import core_exact
 DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-pl", "m-plant"]
 
 
-def run(spark, names: list[str], eps: float) -> list[dict]:
+def run(names: list[str], eps: float) -> list[dict]:
     rows = []
     for name in names:
         e = datasets.load_local(name)
@@ -41,10 +41,8 @@ def main() -> None:
     ap.add_argument("--sets", default=",".join(DEFAULT))
     ap.add_argument("--eps", type=float, default=0.5)
     args = ap.parse_args()
-    spark = get_spark("table-accuracy")
-    rows = run(spark, [s for s in args.sets.split(",") if s], args.eps)
+    rows = run([s for s in args.sets.split(",") if s], args.eps)
     print_table(rows, f"T4: approximation accuracy rho/rho_opt (eps={args.eps})")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """T2 — exact-algorithm efficiency: Exact vs DC-Exact vs Core-Exact.
 
-Usage: spark-submit jobs/table_exact.py [--sets xs-er,...] [--skip-exact]
+Usage: python jobs/table_exact.py [--sets xs-er,...] [--skip-exact]
 The baseline is Θ(n²) flow solves by construction, so it only runs on
 the xs/s tier (the paper likewise caps its baseline at small graphs).
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 
-from _util import get_spark, print_table, timed
+from _util import print_table, timed
 
 from repro import datasets
 from repro.core.exact import core_exact, dc_exact, exact_dds
@@ -17,7 +17,7 @@ DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl"]
 BASELINE_MAX_M = 800  # beyond this the all-ratio baseline is hopeless
 
 
-def run(spark, names: list[str], skip_exact: bool = False) -> list[dict]:
+def run(names: list[str], skip_exact: bool = False) -> list[dict]:
     rows = []
     for name in names:
         e = datasets.load_local(name)
@@ -58,10 +58,8 @@ def main() -> None:
     ap.add_argument("--sets", default=",".join(DEFAULT))
     ap.add_argument("--skip-exact", action="store_true")
     args = ap.parse_args()
-    spark = get_spark("table-exact")
-    rows = run(spark, [s for s in args.sets.split(",") if s], args.skip_exact)
+    rows = run([s for s in args.sets.split(",") if s], args.skip_exact)
     print_table(rows, "T2: exact algorithm efficiency (seconds)")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,16 +1,17 @@
 """T6 — pruning effectiveness inside Core-Exact.
 
-Usage: spark-submit jobs/table_pruning.py [--sets xs-er,...]
+Usage: python jobs/table_pruning.py [--sets xs-er,...]
 Reports, per dataset: candidate-ratio space size vs ratios actually
 solved / skipped via empty cores, min-cut calls, and the largest flow
 network ever built relative to a whole-graph network (the paper's
-"flow network shrinks" figure, as a table).
+"flow network shrinks" figure, as a table), plus Core-Exact's wall time
+(the T2 rows of the sets too large for that table's other algorithms).
 """
 from __future__ import annotations
 
 import argparse
 
-from _util import get_spark, print_table
+from _util import print_table, timed
 
 from repro import datasets
 from repro.core.exact import core_exact
@@ -20,11 +21,13 @@ from repro.flow.network import network_nodes
 DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-pl", "m-plant"]
 
 
-def run(spark, names: list[str]) -> list[dict]:
+def run(names: list[str]) -> list[dict]:
     rows = []
     for name in names:
         e = datasets.load_local(name)
-        r = core_exact(e)
+        t: dict = {}
+        with timed(t):
+            r = core_exact(e)
         st = r.stats
         full_nodes = network_nodes(e.n_src, e.n_dst)
         # candidate-space size: count distinct reduced fractions (exact for
@@ -34,7 +37,6 @@ def run(spark, names: list[str]) -> list[dict]:
             n_cand = len(all_candidate_ratios(n_s, n_t))
         else:
             n_cand = int(n_s * n_t * 6 / 3.1415926**2)
-        core_sizes = st.get("core_sizes", [])
         rows.append(
             {
                 "dataset": name,
@@ -42,14 +44,13 @@ def run(spark, names: list[str]) -> list[dict]:
                 "candidate_ratios": n_cand,
                 "ratios_solved": st["ratios_solved"],
                 "ratios_skipped": st["ratios_skipped_empty_core"],
-                "cuts": st.get("cuts", 0),
-                "flow_nodes_max": st.get("max_flow_nodes", 0),
+                "cuts": st["cuts"],
+                "flow_nodes_max": st["max_flow_nodes"],
                 "flow_nodes_full": full_nodes,
-                "shrink": round(
-                    st.get("max_flow_nodes", 0) / full_nodes, 4
-                ),
-                "min_core_m": min(core_sizes) if core_sizes else "",
+                "shrink": round(st["max_flow_nodes"] / full_nodes, 4),
+                "min_core_m": min(st["core_sizes"], default=""),
                 "rho_opt": round(r.rho, 4),
+                "core_s": t["seconds"],
             }
         )
     return rows
@@ -59,10 +60,8 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sets", default=",".join(DEFAULT))
     args = ap.parse_args()
-    spark = get_spark("table-pruning")
-    rows = run(spark, [s for s in args.sets.split(",") if s])
+    rows = run([s for s in args.sets.split(",") if s])
     print_table(rows, "T6: Core-Exact pruning effectiveness")
-    spark.stop()
 
 
 if __name__ == "__main__":

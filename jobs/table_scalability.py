@@ -1,6 +1,6 @@
 """T5 — scalability on the power-law series (n = 2500·2^k, m ≈ 10n).
 
-Usage: spark-submit jobs/table_scalability.py [--scales 0,1,2,3] [--eps 0.5]
+Usage: python jobs/table_scalability.py [--scales 0,1,2,3] [--eps 0.5]
 Core-Approx and Core-Exact should grow near-linearly with m; the
 KS-Approx baseline sweep grows with m·|grid| and falls behind.
 """
@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 
-from _util import get_spark, print_table, timed
+from _util import print_table, timed
 
 from repro import datasets
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.exact import core_exact
 
 
-def run(spark, scales: list[int], eps: float, with_exact: bool = True) -> list[dict]:
+def run(scales: list[int], eps: float, with_exact: bool = True) -> list[dict]:
     rows = []
     for k in scales:
         e = datasets.scaled_powerlaw(k)
@@ -47,11 +47,9 @@ def main() -> None:
     ap.add_argument("--eps", type=float, default=0.5)
     ap.add_argument("--no-exact", action="store_true")
     args = ap.parse_args()
-    spark = get_spark("table-scalability")
     scales = [int(s) for s in args.scales.split(",") if s]
-    rows = run(spark, scales, args.eps, with_exact=not args.no_exact)
+    rows = run(scales, args.eps, with_exact=not args.no_exact)
     print_table(rows, "T5: scalability (power-law series)")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -138,9 +138,10 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
 def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
     """Baseline 2(1+ε)-approx: exact peel per ratio of a (1+ε) grid."""
     check_no_duplicates(e)
+    stats = {"ratios": 0, "eps": eps}
     if e.m == 0:
         z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios": 0})
+        return DDSResult(z, z, 0, stats)
     ns, nt = e.n_src, e.n_dst
     grid = geometric_grid(1.0 / nt, float(ns), eps)
     best: DDSResult | None = None
@@ -150,7 +151,8 @@ def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
         if cand.better_than(best):
             best = cand
     assert best is not None
-    best.stats = {"ratios": len(grid), "eps": eps}
+    stats["ratios"] = len(grid)
+    best.stats = stats
     return best
 
 
@@ -192,21 +194,18 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
     """
     check_no_duplicates(edges)
     ns, nt, m = counts = engine_for(edges).counts(edges)
+    stats = {"ratios": 0, "eps": eps, "peel_rounds": 0}
     if m == 0:
         z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios": 0})
+        return DDSResult(z, z, 0, stats)
     edges = to_driver(edges, m)
     grid = geometric_grid(1.0 / nt, float(ns), eps)
-    best, best_rho2, rounds = edges, rho2_frac(m, ns, nt), 0
+    best, best_rho2 = edges, rho2_frac(m, ns, nt)
     for a in grid:
         state, rho2, r = _bs_peel(edges, counts, a, eps)
-        rounds += r
+        stats["peel_rounds"] += r
         if rho2 > best_rho2:
             best, best_rho2 = state, rho2
+    stats["ratios"] = len(grid)
     e = to_local(best)
-    return DDSResult(
-        np.unique(e.src),
-        np.unique(e.dst),
-        e.m,
-        {"ratios": len(grid), "eps": eps, "peel_rounds": rounds},
-    )
+    return DDSResult(np.unique(e.src), np.unique(e.dst), e.m, stats)

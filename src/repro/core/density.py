@@ -12,14 +12,6 @@ therefore done on exact Fractions; floats appear only for reporting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
-
-
-def rho(m: int, n_s: int, n_t: int) -> float:
-    """ρ = m / sqrt(n_s·n_t); 0 for an empty side."""
-    if m == 0 or n_s == 0 or n_t == 0:
-        return 0.0
-    return m / sqrt(n_s * n_t)
 
 
 def rho2_frac(m: int, n_s: int, n_t: int) -> Fraction:
@@ -29,15 +21,8 @@ def rho2_frac(m: int, n_s: int, n_t: int) -> Fraction:
     return Fraction(m * m, n_s * n_t)
 
 
-def skewed(m: int, n_s: int, n_t: int, i: int, j: int) -> float:
-    """ρ_a for ratio a=i/j — equals ρ when n_s/n_t == i/j, else smaller."""
-    if m == 0 or n_s == 0 or n_t == 0:
-        return 0.0
-    return 2.0 * sqrt(i * j) * m / (j * n_s + i * n_t)
-
-
 def skewed2_frac(m: int, n_s: int, n_t: int, i: int, j: int) -> Fraction:
-    """Exact ρ_a² as a Fraction."""
+    """Exact ρ_a² for ratio a=i/j — equals ρ² when n_s/n_t == i/j, else smaller."""
     if m == 0 or n_s == 0 or n_t == 0:
         return Fraction(0)
     return Fraction(4 * i * j * m * m, (j * n_s + i * n_t) ** 2)

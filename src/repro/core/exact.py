@@ -140,10 +140,10 @@ def _sweep(lo: Fraction, hi: Fraction, ns: int, nt: int, settle) -> None:
 def exact_dds(e: EdgeArrays) -> DDSResult:
     """Baseline Exact: solve *every* candidate ratio on the whole graph."""
     check_no_duplicates(e)
+    stats: dict = {"algo": "exact", "cuts": 0, "max_flow_nodes": 0, "ratios_solved": 0}
     if e.m == 0:
         z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios_solved": 0})
-    stats: dict = {"algo": "exact"}
+        return DDSResult(z, z, 0, stats)
     best = _full_graph_pair(e)
     ratios = all_candidate_ratios(e.n_src, e.n_dst)
     for a in ratios:
@@ -164,10 +164,10 @@ def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> Fraction:
 def dc_exact(e: EdgeArrays) -> DDSResult:
     """Divide-and-conquer over the ratio space (no core pruning)."""
     check_no_duplicates(e)
+    stats: dict = {"algo": "dc-exact", "ratios_solved": 0, "cuts": 0, "max_flow_nodes": 0}
     if e.m == 0:
         z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios_solved": 0})
-    stats: dict = {"algo": "dc-exact", "ratios_solved": 0}
+        return DDSResult(z, z, 0, stats)
     best = _full_graph_pair(e)
     ns, nt = e.n_src, e.n_dst
 
@@ -212,6 +212,19 @@ def _widen_factor(r2: Fraction) -> Fraction:
     return Fraction(floor(beta * _ROOT_DIGITS), _ROOT_DIGITS)
 
 
+def _settle_interval(
+    a: Fraction, rho2_best: Fraction, f_ub2: Fraction, c: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The closed ratio interval a probe of ratio a settles.
+
+    Sound when F(a)² ≤ ``f_ub2``, F(a)² ≤ ``rho2_best``, and, for c ≠ a,
+    c = |S|/|T| of an F(a)-argmax (S, T) with ρ(S,T)² ≤ ``rho2_best``: no
+    pair whose ratio lies in the interval is then denser than ``rho2_best``.
+    """
+    beta = _widen_factor(rho2_best / f_ub2)
+    return min(a / beta, c), max(a * beta, c)
+
+
 def core_exact(edges) -> DDSResult:
     """Core-Exact: Core-Approx seeding + core-pruned DC (the paper's best).
 
@@ -236,19 +249,20 @@ def core_exact(edges) -> DDSResult:
     ratio: [min(a/β, c), max(a·β, c)], where c = |S|/|T| when solved (the
     DC-lemma interval) and c = a otherwise.
     """
-    ns, nt, m = engine_for(edges).counts(edges)
-    if m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, {"ratios_solved": 0})
-    edges = to_driver(edges, m)
-    eng = engine_for(edges)
     stats: dict = {
         "algo": "core-exact",
         "ratios_solved": 0,
         "ratios_skipped_empty_core": 0,
         "core_probes_exact": 0,
         "cuts": 0, "max_flow_nodes": 0, "core_sizes": [],  # also when no ratio is solved
+        "approx_rho": 0.0, "approx_core_probes": 0,
     }
+    ns, nt, m = engine_for(edges).counts(edges)
+    if m == 0:
+        z = np.array([], dtype=np.int64)
+        return DDSResult(z, z, 0, stats)
+    edges = to_driver(edges, m)
+    eng = engine_for(edges)
     approx = core_approx(edges)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
     stats["approx_core_probes"] = approx.stats.get("core_probes")
@@ -280,8 +294,7 @@ def core_exact(edges) -> DDSResult:
                 best = sol
             c = Fraction(len(sol.S), len(sol.T))
             f_ub2 = skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j)
-        beta = _widen_factor(best.rho2 / f_ub2)
-        return min(a / beta, c), max(a * beta, c)
+        return _settle_interval(a, best.rho2, f_ub2, c)
 
     # seed slightly beyond the candidate range so the extreme candidates
     # themselves are reachable through the open-interval search

@@ -8,13 +8,12 @@ edge DataFrame with long columns ``src`` and ``dst``; every structural
 operation is expressed as aggregations and semijoins so Catalyst plans
 the whole fixpoint round.
 """
-from repro.graph.schema import SRC, DST, edges_from_arrays, normalize_edges
+from repro.graph.schema import SRC, DST, normalize_edges
 from repro.graph.local import EdgeArrays, collect_edges
 
 __all__ = [
     "SRC",
     "DST",
-    "edges_from_arrays",
     "normalize_edges",
     "EdgeArrays",
     "collect_edges",

@@ -21,20 +21,3 @@ def in_degrees(edges: DataFrame) -> DataFrame:
     """``(dst, in_deg)`` — number of in-edges per destination vertex."""
     return edges.groupBy(DST).agg(F.count(F.lit(1)).alias("in_deg"))
 
-
-def degree_summary(edges: DataFrame) -> DataFrame:
-    """One-row frame: m, distinct sources/destinations, max degrees.
-
-    This is the statistics row of the datasets table (T1).
-    """
-    out_max = out_degrees(edges).agg(F.max("out_deg").alias("v"))
-    in_max = in_degrees(edges).agg(F.max("in_deg").alias("v"))
-    base = edges.agg(
-        F.count(F.lit(1)).alias("m"),
-        F.countDistinct(SRC).alias("n_src"),
-        F.countDistinct(DST).alias("n_dst"),
-    )
-    return (
-        base.crossJoin(out_max.select(F.col("v").alias("max_out_deg")))
-        .crossJoin(in_max.select(F.col("v").alias("max_in_deg")))
-    )

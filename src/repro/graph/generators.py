@@ -13,12 +13,13 @@ the reproduction exercises the repo's standard synthetic-data path.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.graph.local import EdgeArrays, dedup
-from repro.graph.schema import DST, SRC, normalize_edges
+from repro.graph.schema import DST, EDGE_SCHEMA, SRC, normalize_edges
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -126,6 +127,7 @@ def tpch_order_part(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> 
 
 def to_spark(spark: SparkSession, e: EdgeArrays) -> DataFrame:
     """Lift local edge arrays into a normalized edge DataFrame."""
-    from repro.graph.schema import edges_from_arrays
-
-    return edges_from_arrays(spark, e.src, e.dst)
+    pdf = pd.DataFrame(
+        {SRC: np.asarray(e.src, dtype=np.int64), DST: np.asarray(e.dst, dtype=np.int64)}
+    )
+    return normalize_edges(spark.createDataFrame(pdf, schema=EDGE_SCHEMA))

@@ -8,9 +8,7 @@ kept.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
@@ -20,14 +18,6 @@ DST = "dst"
 EDGE_SCHEMA = StructType(
     [StructField(SRC, LongType(), False), StructField(DST, LongType(), False)]
 )
-
-
-def edges_from_arrays(
-    spark: SparkSession, src: np.ndarray, dst: np.ndarray
-) -> DataFrame:
-    """Create a normalized edge DataFrame from parallel numpy arrays."""
-    pdf = pd.DataFrame({SRC: np.asarray(src, dtype=np.int64), DST: np.asarray(dst, dtype=np.int64)})
-    return normalize_edges(spark.createDataFrame(pdf, schema=EDGE_SCHEMA))
 
 
 def normalize_edges(edges: DataFrame) -> DataFrame:

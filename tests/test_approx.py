@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import datasets
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import core_exact
@@ -56,6 +57,7 @@ def test_bs_approx_guarantee(seed):
 def test_approx_empty_graph(algo):
     r = algo(empty_edges())
     assert r.rho == 0.0
+    assert r.stats.keys() == algo(datasets.load_local("xs-er")).stats.keys()
 
 
 @pytest.mark.parametrize(

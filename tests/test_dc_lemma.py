@@ -6,38 +6,39 @@ so each is checked against exhaustive enumeration on random graphs.
 """
 import itertools
 from fractions import Fraction
-from math import sqrt
 
 import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_dds
-from repro.core.density import rho, skewed, skewed2_frac
-from repro.core.exact import solve_ratio
+from repro.core.density import rho2_frac, skewed2_frac
+from repro.core.exact import _settle_interval, solve_ratio
+from repro.core.ratios import all_candidate_ratios
 from repro.core.xycore import max_xy_core, xy_core
 from repro.graph.local import EdgeArrays
 
 
-def q_factor(a: float, r: float) -> float:
-    """q(a,r) = ½(sqrt(r/a) + sqrt(a/r)) ≥ 1 — the DC-lemma stretch factor."""
-    x = sqrt(r / a)
-    return 0.5 * (x + 1.0 / x)
+def q2(a: Fraction, r: Fraction) -> Fraction:
+    """q(a,r)² = (r/a + a/r + 2)/4, the square of the DC-lemma stretch
+    factor q(a,r) = ½(sqrt(r/a) + sqrt(a/r)) ≥ 1 — rational, so exact."""
+    return (r / a + a / r + 2) / 4
 
 
 def test_q_factor_identity_and_growth():
-    assert q_factor(1.0, 1.0) == pytest.approx(1.0)
-    assert q_factor(2.0, 2.0) == pytest.approx(1.0)
-    assert q_factor(1.0, 4.0) > q_factor(1.0, 2.0) > 1.0
+    one, two, four = Fraction(1), Fraction(2), Fraction(4)
+    assert q2(one, one) == 1
+    assert q2(two, two) == 1
+    assert q2(one, four) > q2(one, two) > 1
     # symmetric in log-space
-    assert q_factor(1.0, 4.0) == pytest.approx(q_factor(4.0, 1.0))
+    assert q2(one, four) == q2(four, one)
 
 
 def test_q_factor_links_rho_and_skewed():
-    """rho = skewed * q(a, own_ratio) — the DC-lemma identity."""
+    """rho² = skewed² * q(a, own_ratio)² — the DC-lemma identity."""
     m, ns, nt, i, j = 7, 6, 2, 1, 3  # own ratio 3, a = 1/3
-    a = i / j
-    r = ns / nt
-    assert rho(m, ns, nt) == pytest.approx(skewed(m, ns, nt, i, j) * q_factor(a, r))
+    a = Fraction(i, j)
+    r = Fraction(ns, nt)
+    assert rho2_frac(m, ns, nt) == skewed2_frac(m, ns, nt, i, j) * q2(a, r)
 
 
 def _random_tiny(seed, n_hi=8, m_hi=20):
@@ -85,30 +86,31 @@ def test_width_lemma(seed):
     rho <= rho_best — the radius-settling rule of Core-Exact."""
     e = _random_tiny(seed + 40)
     i, j = 1, 1
-    a = 1.0
-    # exact F(a)
+    a = Fraction(i, j)
+    # exact F(a)²
     sol = solve_ratio(e, i, j, Fraction(0))
-    f_a = float(skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j)) ** 0.5
-    rho_best = f_a * 1.3  # pretend the incumbent is 30% above F(a)
+    f_a2 = skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j)
+    stretch2 = Fraction(169, 100)  # pretend the incumbent is 30% above F(a)
+    rho_best2 = f_a2 * stretch2
     for S, T in _all_pairs(e):
-        r = len(S) / len(T)
-        if q_factor(a, r) <= rho_best / f_a:
+        r = Fraction(len(S), len(T))
+        if q2(a, r) <= stretch2:
             m = e.edges_between(S, T)
-            assert rho(m, len(S), len(T)) <= rho_best + 1e-9
+            assert rho2_frac(m, len(S), len(T)) <= rho_best2
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rho_equals_skewed_times_q(seed):
-    """The identity rho = rho_a * q(a, own_ratio) for every pair."""
+    """The identity rho² = rho_a² * q(a, own_ratio)² for every pair."""
     e = _random_tiny(seed + 80)
     for S, T in itertools.islice(_all_pairs(e), 50):
         m = e.edges_between(S, T)
         for i, j in [(1, 1), (2, 3)]:
-            lhs = rho(m, len(S), len(T))
-            rhs = skewed(m, len(S), len(T), i, j) * q_factor(
-                i / j, len(S) / len(T)
+            lhs = rho2_frac(m, len(S), len(T))
+            rhs = skewed2_frac(m, len(S), len(T), i, j) * q2(
+                Fraction(i, j), Fraction(len(S), len(T))
             )
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            assert lhs == rhs
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -145,4 +147,42 @@ def test_core_density_lower_bound_lemma(seed):
         for y in range(1, 4):
             c = xy_core(e, x, y)
             if c.m:
-                assert rho(c.m, c.n_src, c.n_dst) >= (x * y) ** 0.5 - 1e-9
+                assert rho2_frac(c.m, c.n_src, c.n_dst) >= x * y
+
+
+def _size_profile(e):
+    """{(|S|, |T|): every |E(S,T)| some pair of those sizes has}."""
+    prof = {}
+    for S, T in _all_pairs(e):
+        prof.setdefault((len(S), len(T)), set()).add(e.edges_between(S, T))
+    return prof
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_settle_interval_is_sound(seed):
+    """Core-Exact's settle rule, one probe at a time: for every candidate
+    a and every ρ_best² the probe may meet, no pair whose ratio lies in
+    the settled interval is denser than ρ_best² (brute force)."""
+    e = _random_tiny(seed + 240, n_hi=6, m_hi=16)
+    prof = _size_profile(e)
+    densities = {rho2_frac(m, ks, kt) for (ks, kt), ms in prof.items() for m in ms}
+    top = {}  # ratio -> ρ² of the densest pair with that ratio
+    for (ks, kt), ms in prof.items():
+        r = Fraction(ks, kt)
+        top[r] = max(top.get(r, Fraction(0)), rho2_frac(max(ms), ks, kt))
+
+    def assert_settled(lo, hi, rho2_best):
+        assert all(d <= rho2_best for r, d in top.items() if lo <= r <= hi)
+
+    ns, nt = len(np.unique(e.src)), len(np.unique(e.dst))
+    for a in all_candidate_ratios(ns, nt):
+        i, j = a.numerator, a.denominator
+        skew = {k: skewed2_frac(max(ms), *k, i, j) for k, ms in prof.items()}
+        f2 = max(skew.values())  # F(a)²
+        for rho2_best in densities:
+            if rho2_best >= f2:  # a failed probe with the tightest F_ub
+                assert_settled(*_settle_interval(a, rho2_best, f2, a), rho2_best)
+            for (ks, kt), v in skew.items():  # a solved probe, argmax (S, T)
+                if v == f2 and rho2_best >= rho2_frac(max(prof[ks, kt]), ks, kt):
+                    c = Fraction(ks, kt)
+                    assert_settled(*_settle_interval(a, rho2_best, f2, c), rho2_best)

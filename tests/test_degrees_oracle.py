@@ -2,7 +2,8 @@
 import pytest
 
 from repro.graph import generators as gen
-from repro.graph.degrees import degree_summary, in_degrees, out_degrees
+from repro.core.xycore import DataFrameEngine
+from repro.graph.degrees import in_degrees, out_degrees
 from repro.graph.schema import normalize_edges
 from repro.oracle import assert_equivalent
 
@@ -29,8 +30,15 @@ def test_in_degrees_oracle(spark, edges):
 
 
 def test_degree_summary_oracle(spark, edges):
+    """m, distinct endpoints and max degrees from the DataFrame engine."""
+    eng = DataFrameEngine()
+    n_src, n_dst, m = eng.counts(edges)
+    summary = spark.createDataFrame(
+        [(m, n_src, n_dst, eng.max_out_degree(edges), eng.max_in_degree(edges))],
+        ["m", "n_src", "n_dst", "max_out_deg", "max_in_deg"],
+    )
     assert_equivalent(
-        degree_summary(edges),
+        summary,
         """
         WITH o AS (SELECT src, count(*) c FROM e GROUP BY src),
              i AS (SELECT dst, count(*) c FROM e GROUP BY dst)

@@ -92,9 +92,11 @@ def test_exact_on_planted_block_finds_it():
 
 
 def test_exact_empty_graph():
+    xs = datasets.load_local("xs-er")
     for algo in (exact_dds, dc_exact, core_exact):
         r = algo(empty_edges())
         assert r.rho == 0.0
+        assert r.stats.keys() == algo(xs).stats.keys()
 
 
 def test_exact_single_edge():

@@ -54,9 +54,9 @@ def test_planted_block_is_present_and_dense():
     t_set = np.arange(188, 200)
     assert e.edges_between(s_set, t_set) >= 10 * 12  # full block survives dedup
     # and it dominates background density
-    from repro.core.density import rho
+    from repro.core.density import rho2_frac
 
-    assert rho(e.edges_between(s_set, t_set), len(s_set), len(t_set)) > 5.0
+    assert rho2_frac(e.edges_between(s_set, t_set), len(s_set), len(t_set)) > 25
 
 
 def test_planted_rejects_overlapping_blocks():

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from pyspark.sql import SparkSession
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
@@ -21,16 +22,16 @@ def test_table_datasets(spark):
         assert r["m"] > 0 and r["core_x"] >= 1 and r["core_y"] >= 1
 
 
-def test_table_exact(spark):
-    rows = table_exact.run(spark, ["xs-er"])
+def test_table_exact():
+    rows = table_exact.run(["xs-er"])
     (r,) = rows
     assert r["rho_opt"] > 0
     assert r["core_s"] <= r["exact_s"]  # core-based must win on xs tier
     assert r["dc_ratios"] < r["exact_ratios"]
 
 
-def test_table_exact_skips_baseline(spark):
-    rows = table_exact.run(spark, ["xs-pl"], skip_exact=True)
+def test_table_exact_skips_baseline():
+    rows = table_exact.run(["xs-pl"], skip_exact=True)
     assert rows[0]["exact_s"] == "n/a"
 
 
@@ -50,25 +51,26 @@ def test_table_approx_df_matches_local(spark):
             assert a[key] == b[key]
 
 
-def test_table_accuracy(spark):
-    rows = table_accuracy.run(spark, ["xs-er", "xs-plant"], eps=0.5)
+def test_table_accuracy():
+    rows = table_accuracy.run(["xs-er", "xs-plant"], eps=0.5)
     for r in rows:
         for key in ("core_acc", "ks_acc", "bs_acc"):
             assert 0.4 <= r[key] <= 1.0 + 1e-9
 
 
-def test_table_scalability(spark):
-    rows = table_scalability.run(spark, [0], eps=1.0, with_exact=False)
+def test_table_scalability():
+    rows = table_scalability.run([0], eps=1.0, with_exact=False)
     assert rows[0]["m"] > 10_000
     assert "core_approx_s" in rows[0]
 
 
-def test_table_pruning(spark):
-    rows = table_pruning.run(spark, ["xs-er", "xs-pl"])
+def test_table_pruning():
+    rows = table_pruning.run(["xs-er", "xs-pl"])
     for r in rows:
         assert r["ratios_solved"] + r["ratios_skipped"] < r["candidate_ratios"]
         assert 0 < r["shrink"] <= 1.0
         assert r["flow_nodes_max"] <= r["flow_nodes_full"]
+        assert r["core_s"] >= 0
 
 
 def test_print_table_smoke(capsys):
@@ -77,3 +79,35 @@ def test_print_table_smoke(capsys):
     print_table([{"a": 1, "b": "xx"}], "demo")
     out = capsys.readouterr().out
     assert "demo" in out and "xx" in out
+
+
+JOB_MAINS = [  # job, argv, table title, whether the job uses Spark
+    (table_datasets, ["--sets", "xs-er"], "T1: dataset statistics", True),
+    (table_exact, ["--sets", "xs-er"], "T2: exact algorithm efficiency", False),
+    (table_approx, ["--sets", "xs-er"], "T3: approximation efficiency", True),
+    (table_accuracy, ["--sets", "xs-er"], "T4: approximation accuracy", False),
+    (table_scalability, ["--scales", "0", "--eps", "1.0", "--no-exact"], "T5: scalability", False),
+    (table_pruning, ["--sets", "xs-er"], "T6: Core-Exact pruning effectiveness", False),
+]
+
+
+@pytest.mark.parametrize(
+    "job,argv,title,uses_spark", JOB_MAINS, ids=[j[0].__name__ for j in JOB_MAINS]
+)
+def test_job_main_prints_its_table(job, argv, title, uses_spark, request, monkeypatch, capsys):
+    """Each entry point parses its options and prints its table. A job that
+    never reads Spark may not start a session; a Spark job gets the test
+    session, whose ``stop`` is disabled for the rest of the run."""
+    if uses_spark:
+        spark = request.getfixturevalue("spark")
+        monkeypatch.setattr(job, "get_spark", lambda app: spark)
+        monkeypatch.setattr(spark, "stop", lambda: None)
+    else:
+
+        def no_session(*args, **kwargs):
+            raise AssertionError(f"{job.__name__} starts a SparkSession it never uses")
+
+        monkeypatch.setattr(SparkSession.Builder, "getOrCreate", no_session)
+    monkeypatch.setattr(sys, "argv", [f"{job.__name__}.py", *argv])
+    job.main()
+    assert f"== {title}" in capsys.readouterr().out

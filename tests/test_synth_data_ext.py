@@ -1,32 +1,7 @@
-"""Tests for the synth_data extension and the TPC-H-derived graph."""
-import pytest
-from pyspark.sql import functions as F
-
+"""Tests for the TPC-H-derived graph."""
 from repro import synth_data
 from repro.graph.generators import tpch_order_part
 from repro.oracle import assert_equivalent
-
-
-def test_edges_zipf_schema_and_dedup(spark):
-    df = synth_data.edges_zipf(spark, n=200, m=2000, seed=6).cache()
-    assert set(df.columns) == {"src", "dst"}
-    assert df.count() == df.dropDuplicates().count()
-    assert df.filter("src = dst").count() == 0
-
-
-def test_edges_zipf_deterministic(spark):
-    a = synth_data.edges_zipf(spark, n=100, m=500, seed=1)
-    b = synth_data.edges_zipf(spark, n=100, m=500, seed=1)
-    assert sorted(a.collect()) == sorted(b.collect())
-
-
-def test_edges_zipf_is_skewed(spark):
-    df = synth_data.edges_zipf(spark, n=500, m=5000, alpha=1.3, seed=2)
-    top = (
-        df.groupBy("src").count().orderBy(F.desc("count")).limit(1).collect()[0]
-    )
-    avg = df.count() / df.select("src").distinct().count()
-    assert top["count"] > 3 * avg
 
 
 def test_tpch_order_part_matches_lineitem_oracle(spark):

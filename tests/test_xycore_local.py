@@ -122,10 +122,10 @@ def test_max_xy_core_empty():
 
 def test_core_density_lower_bound():
     """Theory check: any nonempty [x,y]-core has rho >= sqrt(x*y)."""
-    from repro.core.density import rho
+    from repro.core.density import rho2_frac
 
     e = gen.powerlaw_directed(150, 900, seed=6)
     for x, y in [(1, 1), (2, 2), (1, 4), (3, 1)]:
         c = xy_core(e, x, y)
         if c.m:
-            assert rho(c.m, c.n_src, c.n_dst) >= (x * y) ** 0.5 - 1e-9
+            assert rho2_frac(c.m, c.n_src, c.n_dst) >= x * y
