@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from pyspark.sql import functions as F
 
 from repro.graph.degrees import in_degrees, out_degrees
@@ -54,16 +53,16 @@ def degree_round(state, lo_out: float, lo_in: float):
 
     Both the [x,y]-core fixpoint (bounds x−1, y−1) and the BS-Approx peel
     (float thresholds) are repeated rounds of this. An ``EdgeArrays`` state
-    is filtered in numpy and returned itself when no edge goes; a DataFrame
-    state becomes two degree aggregations and two semijoins, with an eager
-    ``localCheckpoint`` to cut lineage (iterative plans grow exponentially
-    otherwise).
+    is filtered in numpy, by degrees counted on its dense vertex ids, and
+    returned itself when no edge goes; the survivors keep its id space. A
+    DataFrame state becomes two degree aggregations and two semijoins, with
+    an eager ``localCheckpoint`` to cut lineage (iterative plans grow
+    exponentially otherwise).
     """
     if isinstance(state, EdgeArrays):
-        _, s_inv = np.unique(state.src, return_inverse=True)
-        _, t_inv = np.unique(state.dst, return_inverse=True)
-        keep = (np.bincount(s_inv)[s_inv] > lo_out) & (np.bincount(t_inv)[t_inv] > lo_in)
-        return state if keep.all() else EdgeArrays(state.src[keep], state.dst[keep])
+        s, t = state.src_ids, state.dst_ids
+        keep = (s.degrees()[s.ids] > lo_out) & (t.degrees()[t.ids] > lo_in)
+        return state if keep.all() else state.select(keep)
     s_ok = out_degrees(state).filter(F.col("out_deg") > lo_out).select(SRC)
     t_ok = in_degrees(state).filter(F.col("in_deg") > lo_in).select(DST)
     return (

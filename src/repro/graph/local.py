@@ -3,12 +3,19 @@
 The exact DDS algorithms interleave min-cut solves (inherently
 sequential, see DESIGN.md) with core pruning. After core pruning the
 residual graphs are small — the paper's central observation — so they
-are mirrored to the driver as two int64 arrays and processed with
+are mirrored to the driver as two int64 label arrays and processed with
 vectorized numpy kernels.
+
+The kernels count degrees on dense vertex ids, not on labels. An edge set
+built from labels computes its ids once, lazily, with one ``np.unique``
+per side; every subset taken with ``select`` (each core round's survivors)
+inherits them, sliced by the same mask, in its parent's id space. A
+degree count is then one ``np.bincount`` over that space, with no sort,
+and labels are never rewritten: results are read from ``src``/``dst``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -17,15 +24,70 @@ from repro.graph.schema import DST, SRC
 
 
 @dataclass(frozen=True)
+class DenseIds:
+    """Per-edge dense vertex ids of one side, in an id space of ``len(labels)``."""
+
+    ids: np.ndarray  # per edge: its vertex's position in ``labels``
+    labels: np.ndarray  # sorted distinct labels of the edge set the space was built on
+
+    @staticmethod
+    def of(labels: np.ndarray) -> "DenseIds":
+        uniq, inv = np.unique(labels, return_inverse=True)
+        return DenseIds(inv, uniq)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def degrees(self) -> np.ndarray:
+        """Edges per id, over the whole id space."""
+        return np.bincount(self.ids, minlength=self.n)
+
+    def mask(self, members: np.ndarray) -> np.ndarray:
+        """A boolean array over the id space, true at the ids of ``members``
+        (labels; those outside the space are ignored)."""
+        out = np.zeros(self.n, dtype=bool)
+        pos = np.searchsorted(self.labels, members)
+        hit = pos < self.n
+        pos = pos[hit]
+        out[pos[self.labels[pos] == members[hit]]] = True
+        return out
+
+
+@dataclass(frozen=True)
 class EdgeArrays:
-    """An immutable edge list: parallel ``src``/``dst`` int64 arrays."""
+    """An immutable edge list: parallel ``src``/``dst`` int64 label arrays,
+    and their dense ids (``src_ids``/``dst_ids``), computed on first use
+    or inherited from the edge set this one was selected from."""
 
     src: np.ndarray
     dst: np.ndarray
+    _ids: tuple[DenseIds, DenseIds] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.src) != len(self.dst):
             raise ValueError("src/dst length mismatch")
+
+    def _dense(self) -> tuple[DenseIds, DenseIds]:
+        if self._ids is None:
+            object.__setattr__(self, "_ids", (DenseIds.of(self.src), DenseIds.of(self.dst)))
+        return self._ids
+
+    @property
+    def src_ids(self) -> DenseIds:
+        return self._dense()[0]
+
+    @property
+    def dst_ids(self) -> DenseIds:
+        return self._dense()[1]
+
+    def select(self, keep: np.ndarray) -> "EdgeArrays":
+        """The edges where ``keep`` is true, in this edge set's id space."""
+        s, t = self._dense()
+        return EdgeArrays(
+            self.src[keep], self.dst[keep],
+            (DenseIds(s.ids[keep], s.labels), DenseIds(t.ids[keep], t.labels)),
+        )
 
     @property
     def m(self) -> int:
@@ -33,30 +95,24 @@ class EdgeArrays:
 
     @property
     def n_src(self) -> int:
-        return len(np.unique(self.src))
+        return int(np.count_nonzero(self.src_ids.degrees()))
 
     @property
     def n_dst(self) -> int:
-        return len(np.unique(self.dst))
+        return int(np.count_nonzero(self.dst_ids.degrees()))
 
     def out_degree_max(self) -> int:
-        if self.m == 0:
-            return 0
-        _, counts = np.unique(self.src, return_counts=True)
-        return int(counts.max())
+        return int(self.src_ids.degrees().max()) if self.m else 0
 
     def in_degree_max(self) -> int:
-        if self.m == 0:
-            return 0
-        _, counts = np.unique(self.dst, return_counts=True)
-        return int(counts.max())
+        return int(self.dst_ids.degrees().max()) if self.m else 0
 
     def edges_between(self, s_set: np.ndarray, t_set: np.ndarray) -> int:
         """|E(S,T)| — edges whose source is in S and destination in T."""
         if self.m == 0 or len(s_set) == 0 or len(t_set) == 0:
             return 0
-        mask = np.isin(self.src, s_set) & np.isin(self.dst, t_set)
-        return int(mask.sum())
+        s, t = self._dense()
+        return int(np.count_nonzero(s.mask(s_set)[s.ids] & t.mask(t_set)[t.ids]))
 
 
 def empty_edges() -> EdgeArrays:

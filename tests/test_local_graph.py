@@ -58,3 +58,45 @@ def test_self_loops_are_legal_edges():
     e = _e([(5, 5)])
     assert e.m == 1
     assert e.edges_between(np.array([5]), np.array([5])) == 1
+
+
+def test_select_keeps_the_parent_id_space():
+    e = _e([(10, -3), (10, 7), (2**62, -3)])
+    sub = e.select(np.array([True, False, True]))
+    assert sub.src.tolist() == [10, 2**62] and sub.dst.tolist() == [-3, -3]
+    assert sub.src_ids.n == 2 and sub.dst_ids.n == 2  # the parent's sizes
+    assert (sub.n_src, sub.n_dst, sub.in_degree_max()) == (2, 1, 2)
+    assert sub.edges_between(np.array([10]), np.array([-3, 7])) == 1
+
+
+def test_labels_survive_dense_ids():
+    """Sparse, huge and negative labels give the answers of their 0..n−1
+    relabelling, mapped back: degrees are never counted on raw labels."""
+    from repro import datasets
+    from repro.core.approx import bs_approx, core_approx
+    from repro.core.exact import core_exact
+    from repro.core.xycore import max_xy_core, xy_core
+
+    dense = datasets.load_local("xs-plant")
+    n = int(max(dense.src.max(), dense.dst.max())) + 1
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([
+        rng.integers(-(2**63), -1, n),  # negative
+        rng.integers(2**62, 2**63 - 1, n),  # huge
+        rng.integers(0, 10**9, n),  # sparse
+    ])
+    lab = np.sort(rng.choice(np.unique(pool), n, replace=False))
+    sparse = EdgeArrays(lab[dense.src], lab[dense.dst])
+
+    for x, y in [(1, 1), (2, 3), (3, 2)]:
+        got, want = xy_core(sparse, x, y), xy_core(dense, x, y)
+        assert got.src.tolist() == lab[want.src].tolist()
+        assert got.dst.tolist() == lab[want.dst].tolist()
+    got, want = max_xy_core(sparse), max_xy_core(dense)
+    assert (got.x, got.y, got.stats) == (want.x, want.y, want.stats)
+    assert got.edges.src.tolist() == lab[want.edges.src].tolist()
+    for algo in (core_approx, bs_approx, core_exact):
+        got, want = algo(sparse), algo(dense)
+        assert got.rho2 == want.rho2 and got.stats == want.stats
+        assert got.S.tolist() == lab[want.S].tolist()
+        assert got.T.tolist() == lab[want.T].tolist()

@@ -24,7 +24,8 @@ MODULES = {"core_exact": exact, "core_approx": approx}
 
 
 @pytest.mark.parametrize("algo", sorted(MODULES))
-@pytest.mark.parametrize("name", ["xs-er", "xs-plant", "s-er"])  # s-er skips ratios
+# s-er skips ratios; m-plant is the graph of the gated exact-planted workload
+@pytest.mark.parametrize("name", ["xs-er", "xs-plant", "s-er", "m-plant"])
 def test_trace_matches_algorithm_counters(name, algo):
     e = datasets.load_local(name)
     with Tracer().patched() as tr:
