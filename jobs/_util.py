@@ -4,7 +4,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from contextlib import contextmanager
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,11 +26,11 @@ def get_spark(app: str) -> SparkSession:
     )
 
 
-@contextmanager
-def timed(out: dict, key: str = "seconds"):
+def timed(fn, *args, **kw):
+    """``(fn(*args, **kw), its wall seconds rounded to ms)``."""
     t0 = time.perf_counter()
-    yield
-    out[key] = round(time.perf_counter() - t0, 3)
+    out = fn(*args, **kw)
+    return out, round(time.perf_counter() - t0, 3)
 
 
 def print_table(rows: list[dict], title: str) -> None:

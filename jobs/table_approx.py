@@ -32,18 +32,12 @@ def run(spark, names: list[str], eps: float, engine: str) -> list[dict]:
             df = to_spark(spark, e).cache() if engine == "df" else None
         data = df if engine == "df" else e
         row: dict = {"dataset": name, "m": e.m}
-        t: dict = {}
-        with timed(t):
-            r_ks = ks_approx(e, eps=eps)
-        row["ks_s"], row["ks_rho"] = t["seconds"], round(r_ks.rho, 3)
-        t = {}
-        with timed(t):
-            r_bs = bs_approx(data, eps=eps)
-        row["bs_s"], row["bs_rho"] = t["seconds"], round(r_bs.rho, 3)
-        t = {}
-        with timed(t):
-            r_core = core_approx(data)
-        row["core_s"], row["core_rho"] = t["seconds"], round(r_core.rho, 3)
+        r_ks, row["ks_s"] = timed(ks_approx, e, eps=eps)
+        row["ks_rho"] = round(r_ks.rho, 3)
+        r_bs, row["bs_s"] = timed(bs_approx, data, eps=eps)
+        row["bs_rho"] = round(r_bs.rho, 3)
+        r_core, row["core_s"] = timed(core_approx, data)
+        row["core_rho"] = round(r_core.rho, 3)
         row["core_xy"] = f"[{r_core.stats['x']},{r_core.stats['y']}]"
         if row["core_s"] > 0:
             row["speedup_vs_ks"] = round(row["ks_s"] / row["core_s"], 1)

@@ -23,25 +23,16 @@ def run(names: list[str], skip_exact: bool = False) -> list[dict]:
         e = datasets.load_local(name)
         row: dict = {"dataset": name, "m": e.m}
         if not skip_exact and e.m <= BASELINE_MAX_M:
-            t: dict = {}
-            with timed(t):
-                r = exact_dds(e)
-            row["exact_s"] = t["seconds"]
+            r, row["exact_s"] = timed(exact_dds, e)
             row["exact_ratios"] = r.stats["ratios_solved"]
             rho_ref = r.rho2
         else:
             row["exact_s"] = "n/a"
             row["exact_ratios"] = "n/a"
             rho_ref = None
-        t = {}
-        with timed(t):
-            r_dc = dc_exact(e)
-        row["dc_s"] = t["seconds"]
+        r_dc, row["dc_s"] = timed(dc_exact, e)
         row["dc_ratios"] = r_dc.stats["ratios_solved"]
-        t = {}
-        with timed(t):
-            r_core = core_exact(e)
-        row["core_s"] = t["seconds"]
+        r_core, row["core_s"] = timed(core_exact, e)
         row["core_ratios"] = r_core.stats["ratios_solved"]
         row["rho_opt"] = round(r_core.rho, 4)
         assert r_dc.rho2 == r_core.rho2, f"exact algorithms disagree on {name}"

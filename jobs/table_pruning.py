@@ -10,6 +10,7 @@ network ever built relative to a whole-graph network (the paper's
 from __future__ import annotations
 
 import argparse
+import math
 
 from _util import print_table, timed
 
@@ -25,9 +26,7 @@ def run(names: list[str]) -> list[dict]:
     rows = []
     for name in names:
         e = datasets.load_local(name)
-        t: dict = {}
-        with timed(t):
-            r = core_exact(e)
+        r, seconds = timed(core_exact, e)
         st = r.stats
         full_nodes = network_nodes(e.n_src, e.n_dst)
         # candidate-space size: count distinct reduced fractions (exact for
@@ -36,7 +35,7 @@ def run(names: list[str]) -> list[dict]:
         if n_s * n_t <= 4_000_000:
             n_cand = len(all_candidate_ratios(n_s, n_t))
         else:
-            n_cand = int(n_s * n_t * 6 / 3.1415926**2)
+            n_cand = int(n_s * n_t * 6 / math.pi**2)
         rows.append(
             {
                 "dataset": name,
@@ -50,7 +49,7 @@ def run(names: list[str]) -> list[dict]:
                 "shrink": round(st["max_flow_nodes"] / full_nodes, 4),
                 "min_core_m": min(st["core_sizes"], default=""),
                 "rho_opt": round(r.rho, 4),
-                "core_s": t["seconds"],
+                "core_s": seconds,
             }
         )
     return rows

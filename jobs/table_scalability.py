@@ -20,23 +20,13 @@ def run(scales: list[int], eps: float, with_exact: bool = True) -> list[dict]:
     for k in scales:
         e = datasets.scaled_powerlaw(k)
         row: dict = {"scale": k, "n": 2500 * 2**k, "m": e.m}
-        t: dict = {}
-        with timed(t):
-            r = core_approx(e)
-        row["core_approx_s"], row["core_rho"] = t["seconds"], round(r.rho, 3)
-        t = {}
-        with timed(t):
-            bs_approx(e, eps=eps)
-        row["bs_s"] = t["seconds"]
-        t = {}
-        with timed(t):
-            ks_approx(e, eps=eps)
-        row["ks_s"] = t["seconds"]
+        r, row["core_approx_s"] = timed(core_approx, e)
+        row["core_rho"] = round(r.rho, 3)
+        row["bs_s"] = timed(bs_approx, e, eps=eps)[1]
+        row["ks_s"] = timed(ks_approx, e, eps=eps)[1]
         if with_exact:
-            t = {}
-            with timed(t):
-                rx = core_exact(e)
-            row["core_exact_s"], row["rho_opt"] = t["seconds"], round(rx.rho, 4)
+            rx, row["core_exact_s"] = timed(core_exact, e)
+            row["rho_opt"] = round(rx.rho, 4)
         rows.append(row)
     return rows
 

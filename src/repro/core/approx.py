@@ -33,7 +33,7 @@ from math import sqrt
 import numpy as np
 
 from repro.core.density import rho2_frac
-from repro.core.ratios import geometric_grid
+from repro.core.ratios import check_eps, geometric_grid
 from repro.core.result import DDSResult
 from repro.core.xycore import degree_round, engine_for, max_xy_core, to_driver, to_local
 from repro.graph.local import EdgeArrays, check_no_duplicates
@@ -41,14 +41,11 @@ from repro.graph.local import EdgeArrays, check_no_duplicates
 
 def core_approx(edges) -> DDSResult:
     """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
-    check_no_duplicates(edges)
-    core = max_xy_core(edges)
-    e = core.edges
-    s_set = np.unique(e.src)
-    t_set = np.unique(e.dst)
+    core = max_xy_core(edges)  # rejects duplicate edges
+    e = core.edges.compact()
     stats = dict(core.stats)
     stats.update({"x": core.x, "y": core.y, "xy": core.x * core.y})
-    return DDSResult(S=s_set, T=t_set, edges_st=e.m, stats=stats)
+    return DDSResult(S=e.src_ids.labels, T=e.dst_ids.labels, edges_st=e.m, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -60,90 +57,70 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
     """Exact greedy peel for skewed density at ratio ``a``.
 
     Repeatedly removes the vertex-role minimizing degree/cost, where the
-    S-role of u costs c_S = 1/(2√a) and the T-role of v costs c_T = √a/2.
+    S-role (side 0) of u costs 1/(2√a) and the T-role (side 1) of v costs
+    √a/2. ``e`` must be compacted: every id of its spaces is a vertex.
     Returns the snapshot (S, T, m) with the best *true* ρ.
     """
-    c_s = 1.0 / (2.0 * sqrt(a))
-    c_t = sqrt(a) / 2.0
-    s_lab, s_inv = np.unique(e.src, return_inverse=True)
-    t_lab, t_inv = np.unique(e.dst, return_inverse=True)
-    ns, nt = len(s_lab), len(t_lab)
-    out_deg = np.bincount(s_inv, minlength=ns).astype(np.int64)
-    in_deg = np.bincount(t_inv, minlength=nt).astype(np.int64)
-    # adjacency: edge ids per S-node / T-node
-    order_s = np.argsort(s_inv, kind="stable")
-    start_s = np.searchsorted(s_inv[order_s], np.arange(ns + 1))
-    order_t = np.argsort(t_inv, kind="stable")
-    start_t = np.searchsorted(t_inv[order_t], np.arange(nt + 1))
+    cost = (1.0 / (2.0 * sqrt(a)), sqrt(a) / 2.0)
+    space = (e.src_ids, e.dst_ids)
+    ids = [d.ids for d in space]
+    deg = [d.degrees() for d in space]
+    # adjacency: edge ids per vertex of each side
+    order = [np.argsort(x, kind="stable") for x in ids]
+    start = [np.searchsorted(x[o], np.arange(d.n + 1)) for x, o, d in zip(ids, order, space)]
 
     alive_edge = np.ones(e.m, dtype=bool)
-    alive_s = np.ones(ns, dtype=bool)
-    alive_t = np.ones(nt, dtype=bool)
+    alive = [np.ones(d.n, dtype=bool) for d in space]
     heap: list[tuple[float, int, int, int]] = []  # (score, side, idx, deg-at-push)
-    for k in range(ns):
-        heapq.heappush(heap, (out_deg[k] / c_s, 0, k, out_deg[k]))
-    for k in range(nt):
-        heapq.heappush(heap, (in_deg[k] / c_t, 1, k, in_deg[k]))
+    for side in (0, 1):
+        for k in range(space[side].n):
+            heapq.heappush(heap, (deg[side][k] / cost[side], side, k, deg[side][k]))
 
-    m_alive, ns_alive, nt_alive = e.m, ns, nt
-    best = rho2_frac(m_alive, ns_alive, nt_alive)
+    m_alive, n_alive = e.m, [space[0].n, space[1].n]
+    best = rho2_frac(m_alive, *n_alive)
     best_step = 0
     removals: list[tuple[int, int]] = []
     while m_alive > 0 and heap:
         _, side, k, d = heapq.heappop(heap)
-        if side == 0:
-            if not alive_s[k] or d != out_deg[k]:
-                continue
-            alive_s[k] = False
-            ns_alive -= 1
-            for eid in order_s[start_s[k] : start_s[k + 1]]:
-                if alive_edge[eid]:
-                    alive_edge[eid] = False
-                    m_alive -= 1
-                    tk = t_inv[eid]
-                    in_deg[tk] -= 1
-                    if alive_t[tk]:
-                        heapq.heappush(heap, (in_deg[tk] / c_t, 1, tk, in_deg[tk]))
-        else:
-            if not alive_t[k] or d != in_deg[k]:
-                continue
-            alive_t[k] = False
-            nt_alive -= 1
-            for eid in order_t[start_t[k] : start_t[k + 1]]:
-                if alive_edge[eid]:
-                    alive_edge[eid] = False
-                    m_alive -= 1
-                    sk = s_inv[eid]
-                    out_deg[sk] -= 1
-                    if alive_s[sk]:
-                        heapq.heappush(heap, (out_deg[sk] / c_s, 0, sk, out_deg[sk]))
+        if not alive[side][k] or d != deg[side][k]:
+            continue
+        alive[side][k] = False
+        n_alive[side] -= 1
+        other = 1 - side
+        o_ids, o_deg, o_alive, o_cost = ids[other], deg[other], alive[other], cost[other]
+        for eid in order[side][start[side][k] : start[side][k + 1]]:
+            if alive_edge[eid]:
+                alive_edge[eid] = False
+                m_alive -= 1
+                ok = o_ids[eid]
+                o_deg[ok] -= 1
+                if o_alive[ok]:
+                    heapq.heappush(heap, (o_deg[ok] / o_cost, other, ok, o_deg[ok]))
         removals.append((side, k))
-        cur = rho2_frac(m_alive, ns_alive, nt_alive)
+        cur = rho2_frac(m_alive, *n_alive)
         if cur > best:
             best = cur
             best_step = len(removals)
     # rebuild the best snapshot
-    alive_s[:] = True
-    alive_t[:] = True
+    for side in (0, 1):
+        alive[side][:] = True
     for side, k in removals[:best_step]:
-        (alive_s if side == 0 else alive_t)[k] = False
-    s_set = s_lab[alive_s]
-    t_set = t_lab[alive_t]
-    m_best = int(
-        (np.isin(e.src, s_set) & np.isin(e.dst, t_set)).sum()
-    )
-    return s_set, t_set, m_best
+        alive[side][k] = False
+    s_set = space[0].labels[alive[0]]
+    t_set = space[1].labels[alive[1]]
+    return s_set, t_set, e.edges_between(s_set, t_set)
 
 
 def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
     """Baseline 2(1+ε)-approx: exact peel per ratio of a (1+ε) grid."""
+    check_eps(eps)
     check_no_duplicates(e)
     stats = {"ratios": 0, "eps": eps}
     if e.m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, stats)
-    ns, nt = e.n_src, e.n_dst
-    grid = geometric_grid(1.0 / nt, float(ns), eps)
+    e = e.compact()  # the peel counts every id of the space as a vertex
+    grid = geometric_grid(1.0 / e.dst_ids.n, float(e.src_ids.n), eps)
     best: DDSResult | None = None
     for a in grid:
         s_set, t_set, m = _peel_one_ratio(e, a)
@@ -192,13 +169,14 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
     DataFrame within the budget is collected once on entry). Each
     ratio's best snapshot is kept as it is peeled, never replayed.
     """
-    check_no_duplicates(edges)
+    check_eps(eps)
     ns, nt, m = counts = engine_for(edges).counts(edges)
     stats = {"ratios": 0, "eps": eps, "peel_rounds": 0}
     if m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, stats)
     edges = to_driver(edges, m)
+    check_no_duplicates(edges)
     grid = geometric_grid(1.0 / nt, float(ns), eps)
     best, best_rho2 = edges, rho2_frac(m, ns, nt)
     for a in grid:
@@ -207,5 +185,5 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
         if rho2 > best_rho2:
             best, best_rho2 = state, rho2
     stats["ratios"] = len(grid)
-    e = to_local(best)
-    return DDSResult(np.unique(e.src), np.unique(e.dst), e.m, stats)
+    e = to_local(best).compact()
+    return DDSResult(e.src_ids.labels, e.dst_ids.labels, e.m, stats)

@@ -103,7 +103,7 @@ def solve_ratio(
             st.setdefault("core_sizes", []).append(cur.m)
         if cur.m == 0:
             return best
-        h, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, lam)
+        h, s_sel, t_sel = solve_level(cur, i, j, lam)
         st["cuts"] = st.get("cuts", 0) + 1
         if not nodes:  # cores nest, so a call's first network is its largest
             nodes = network_nodes(cur.n_src, cur.n_dst)
@@ -119,7 +119,8 @@ def solve_ratio(
 
 
 def _full_graph_pair(e: EdgeArrays) -> DDSResult:
-    return DDSResult(np.unique(e.src), np.unique(e.dst), e.m, {})
+    c = e.compact()
+    return DDSResult(c.src_ids.labels, c.dst_ids.labels, e.m, {})
 
 
 def _sweep(lo: Fraction, hi: Fraction, ns: int, nt: int, settle) -> None:

@@ -89,12 +89,17 @@ def _steps(slack: int, gain: int, num_room: int, dp: int, den_room: int, dq: int
     return max(0, min(caps))
 
 
+def check_eps(eps: float) -> None:
+    """Raise ``ValueError`` unless ``eps`` is a usable grid step."""
+    if not (isfinite(eps) and eps > 0):  # eps <= 0 never reaches hi; nan passes every test
+        raise ValueError("need a finite eps > 0")
+
+
 def geometric_grid(lo: float, hi: float, eps: float) -> list[float]:
     """Grid lo, lo(1+eps), … covering [lo, hi] (last point ≥ hi)."""
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
-    if not (isfinite(eps) and eps > 0):  # eps <= 0 never reaches hi; nan passes every test
-        raise ValueError("need a finite eps > 0")
+    check_eps(eps)
     out = [lo]
     while out[-1] < hi:
         out.append(out[-1] * (1.0 + eps))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pyspark.sql import functions as F
 
 from repro.graph.degrees import in_degrees, out_degrees
-from repro.graph.local import EdgeArrays, collect_edges, empty_edges
+from repro.graph.local import EdgeArrays, check_no_duplicates, collect_edges, empty_edges
 from repro.graph.schema import DST, SRC
 
 # Largest edge set worked on at the driver: 1M int64 (src, dst) pairs are
@@ -194,14 +194,14 @@ class XYCoreResult:
     stats: dict
 
 
-def y_max_for_x(edges, x: int, *, stats: dict | None = None):
+def y_max_for_x(edges, x: int):
     """Largest y with nonempty [x,y]-core, plus that core (engine state).
 
     Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``;
     every probe runs inside the previously found nonempty core, so probes
     get cheaper as y grows. Returns ``(0, empty)`` when even [x,1] is empty.
     """
-    y, core, _ = _y_max(edges, x, engine_for(edges), stats if stats is not None else {})
+    y, core, _ = _y_max(edges, x, engine_for(edges), {})
     return y, core
 
 
@@ -237,9 +237,10 @@ def max_xy_core(edges) -> XYCoreResult:
     maximal core of any superset of it is itself), so each x is searched
     from the [x',1]-core of the largest evaluated x' < x, not the full
     graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
-    once on entry.
+    once on entry; duplicate edges are rejected once on the driver.
     """
     edges = to_driver(edges)
+    check_no_duplicates(edges)
     eng = engine_for(edges)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub = eng.max_out_degree(edges)

@@ -19,6 +19,11 @@ A cut with source side ``{s} ∪ S_out ∪ T_in`` costs
 ``q*m - q*|E(S,T)| + p*(j*|S| + i*|T|)``, so ``q*h = q*m - mincut`` and the
 maximizing pair is read off the source side. All capacities are integers,
 so the cut value and ``h`` are exact.
+
+The network is built on an ``EdgeArrays``: its compacted dense ids
+(``EdgeArrays.compact``) number the nodes in sorted label order, and its
+``degrees()`` give the source capacities, so this module derives no ids
+of its own.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.flow.dinic import Dinic
+from repro.graph.local import EdgeArrays
 
 
 def network_nodes(n_src: int, n_dst: int) -> int:
@@ -61,37 +67,33 @@ class DDSNetwork:
         return h, self.src_labels[s_sel], self.dst_labels[t_sel]
 
 
-def build_dds_network(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
-) -> DDSNetwork:
-    """Build the decision network for edge arrays ``(src, dst)``.
+def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwork:
+    """Build the decision network for the edge set ``e``.
 
-    ``src``/``dst`` hold arbitrary integer vertex labels; S-side and
-    T-side candidate sets are the distinct sources and destinations.
-    ``lam`` is a non-negative rational level.
+    S-side and T-side candidate sets are the distinct sources and
+    destinations of ``e``, in sorted label order; ``e`` may be a core that
+    keeps its parent's id space. ``lam`` is a non-negative rational level.
     """
-    if len(src) != len(dst):
-        raise ValueError("src/dst length mismatch")
     p, q = lam.numerator, lam.denominator
-    src_labels, s_idx = np.unique(src, return_inverse=True)
-    dst_labels, t_idx = np.unique(dst, return_inverse=True)
-    ns, nt = len(src_labels), len(dst_labels)
+    e = e.compact()
+    s, t = e.src_ids, e.dst_ids
+    ns, nt = s.n, t.n
     # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in
     net = Dinic(network_nodes(ns, nt))
-    for k, d in enumerate(np.bincount(s_idx, minlength=ns).tolist()):
+    for k, d in enumerate(s.degrees().tolist()):
         net.add_edge(0, 2 + k, q * d)
         net.add_edge(2 + k, 1, p * j)
     for k in range(nt):
         net.add_edge(2 + ns + k, 1, p * i)
-    for u, v in zip(s_idx.tolist(), t_idx.tolist()):
+    for u, v in zip(s.ids.tolist(), t.ids.tolist()):
         net.add_edge(2 + u, 2 + ns + v, q)
-    return DDSNetwork(net, src_labels, dst_labels, len(src), q)
+    return DDSNetwork(net, s.labels, t.labels, e.m, q)
 
 
 def solve_level(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
+    e: EdgeArrays, i: int, j: int, lam: Fraction
 ) -> tuple[Fraction, np.ndarray, np.ndarray]:
     """One-shot: build the network and return ``(h, S, T)`` at level ``lam``."""
-    if len(src) == 0:
+    if e.m == 0:
         return Fraction(0), np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return build_dds_network(src, dst, i, j, lam).solve()
+    return build_dds_network(e, i, j, lam).solve()

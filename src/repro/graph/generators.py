@@ -22,6 +22,10 @@ from repro.graph.local import EdgeArrays, dedup
 from repro.graph.schema import DST, EDGE_SCHEMA, SRC, normalize_edges
 
 
+# Degree exponent of both sides of a power-law graph.
+POWERLAW_ALPHA = 2.2
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
@@ -50,25 +54,20 @@ def powerlaw_directed(
     n: int,
     m: int,
     *,
-    alpha_out: float = 2.2,
-    alpha_in: float = 2.2,
     seed: int = 0,
     self_loops: bool = False,
 ) -> EdgeArrays:
     """Directed Chung–Lu graph: endpoint ``i`` drawn ∝ ``(i+1)^(-1/(α-1))``.
 
-    Produces power-law in/out degree distributions with exponent ``α``,
-    matching the skew regime of the paper's web/social datasets.
+    Produces power-law in/out degree distributions with exponent
+    ``α = POWERLAW_ALPHA`` on both sides, matching the skew regime of the
+    paper's web/social datasets.
     """
     g = _rng(seed)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-
-    def _weights(alpha: float) -> np.ndarray:
-        w = ranks ** (-1.0 / (alpha - 1.0))
-        return w / w.sum()
-
-    src = g.choice(n, size=m, p=_weights(alpha_out))
-    dst = g.choice(n, size=m, p=_weights(alpha_in))
+    w = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (POWERLAW_ALPHA - 1.0))
+    w /= w.sum()
+    src = g.choice(n, size=m, p=w)
+    dst = g.choice(n, size=m, p=w)
     # decorrelate the two hubs so the graph is not trivially one block
     perm = g.permutation(n)
     dst = perm[dst]

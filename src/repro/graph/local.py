@@ -6,12 +6,13 @@ residual graphs are small — the paper's central observation — so they
 are mirrored to the driver as two int64 label arrays and processed with
 vectorized numpy kernels.
 
-The kernels count degrees on dense vertex ids, not on labels. An edge set
-built from labels computes its ids once, lazily, with one ``np.unique``
-per side; every subset taken with ``select`` (each core round's survivors)
-inherits them, sliced by the same mask, in its parent's id space. A
-degree count is then one ``np.bincount`` over that space, with no sort,
-and labels are never rewritten: results are read from ``src``/``dst``.
+This is the only module that maps vertex labels to dense ids. An edge set
+computes them once, lazily, with one ``np.unique`` per side; every subset
+taken with ``select`` (each core round's survivors) inherits them in its
+parent's id space, so a degree count is one ``np.bincount``. A kernel that
+needs one id per vertex present (a flow network, the KS-Approx peel, a
+result's S and T) calls ``compact``: a ``bincount`` and a ``cumsum`` remap.
+Neither sorts, and labels are never rewritten.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ class DenseIds:
     @staticmethod
     def of(labels: np.ndarray) -> "DenseIds":
         uniq, inv = np.unique(labels, return_inverse=True)
+        uniq.flags.writeable = False  # results hand these out as S and T
         return DenseIds(inv, uniq)
 
     @property
@@ -42,6 +44,13 @@ class DenseIds:
     def degrees(self) -> np.ndarray:
         """Edges per id, over the whole id space."""
         return np.bincount(self.ids, minlength=self.n)
+
+    def compact(self) -> "DenseIds":
+        """These ids in the space of the labels that occur (kept in order)."""
+        present = self.degrees() > 0
+        if present.all():
+            return self
+        return DenseIds((np.cumsum(present) - 1)[self.ids], self.labels[present])
 
     def mask(self, members: np.ndarray) -> np.ndarray:
         """A boolean array over the id space, true at the ids of ``members``
@@ -80,6 +89,16 @@ class EdgeArrays:
     @property
     def dst_ids(self) -> DenseIds:
         return self._dense()[1]
+
+    def compact(self) -> "EdgeArrays":
+        """This edge set with each id space cut down to the vertices that
+        occur in it, so ``src_ids.labels``/``dst_ids.labels`` are its
+        distinct sources and destinations; ``self`` if none is absent."""
+        s, t = self._dense()
+        cs, ct = s.compact(), t.compact()
+        if cs is s and ct is t:
+            return self
+        return EdgeArrays(self.src, self.dst, (cs, ct))
 
     def select(self, keep: np.ndarray) -> "EdgeArrays":
         """The edges where ``keep`` is true, in this edge set's id space."""
@@ -133,9 +152,11 @@ def check_no_duplicates(edges) -> None:
     """Raise ``ValueError`` if an ``EdgeArrays`` holds a (src, dst) pair twice.
 
     Density counts a pair once, so a repeated pair inflates |E(S,T)| and
-    every algorithm's answer. The algorithms call this on entry rather than
+    every algorithm's answer. The algorithms call this on entry, after a
+    DataFrame within the driver budget has been collected, rather than
     ``EdgeArrays`` on construction, which every fixpoint round does. Edge
-    DataFrames pass unchecked: ``normalize_edges`` deduplicates them.
+    DataFrames above the budget pass unchecked: ``normalize_edges``
+    deduplicates them.
     """
     if not isinstance(edges, EdgeArrays) or edges.m < 2:
         return

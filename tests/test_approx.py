@@ -104,9 +104,10 @@ def test_ks_tracks_best_snapshot_not_last():
 @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
 @pytest.mark.parametrize("algo", [ks_approx, bs_approx], ids=["ks", "bs"])
 def test_grid_approx_rejects_bad_eps(algo, eps):
-    e = gen.er_directed(20, 60, seed=1)
-    with pytest.raises(ValueError, match="eps"):
-        algo(e, eps=eps)
+    """Also on the empty graph, which returns before any grid is built."""
+    for e in (gen.er_directed(20, 60, seed=1), empty_edges()):
+        with pytest.raises(ValueError, match="eps"):
+            algo(e, eps=eps)
 
 
 def test_bs_rounds_logarithmic():

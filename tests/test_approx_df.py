@@ -94,3 +94,15 @@ def test_tpch_graph_algorithms_run(spark):
     assert r.rho > 0
     # order ids and part ids live in disjoint ranges (bipartite input)
     assert r.S.max() < 1_000_000_000 <= r.T.min()
+
+
+@pytest.mark.parametrize("algo", [core_approx, bs_approx, core_exact])
+def test_dataframe_with_duplicate_edges_rejected(spark, algo):
+    """A DataFrame within the driver budget is checked once collected, as an
+    EdgeArrays is on entry (core_approx used to return E=4 on |S|=3, |T|=1)."""
+    from repro.graph.schema import EDGE_SCHEMA
+
+    rows = [(0, 1), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1)]
+    df = spark.createDataFrame(rows, schema=EDGE_SCHEMA)
+    with pytest.raises(ValueError, match="duplicate"):
+        algo(df)

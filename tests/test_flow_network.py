@@ -47,7 +47,7 @@ def _tiny_graph(seed):
 def test_h_matches_bruteforce(seed, i, j, g):
     src, dst = _tiny_graph(seed)
     lam = _mu_level(g, i, j)
-    h, S, T = solve_level(src, dst, i, j, lam)
+    h, S, T = solve_level(EdgeArrays(src, dst), i, j, lam)
     assert h == _brute_h(src, dst, i, j, lam)
 
 
@@ -56,7 +56,7 @@ def test_h_matches_bruteforce(seed, i, j, g):
 def test_h_matches_bruteforce_at_non_dyadic_level(seed, i, j):
     """λ = 1/3 has no exact float; the integer network must still be exact."""
     src, dst = _tiny_graph(seed)
-    h, S, T = solve_level(src, dst, i, j, Fraction(1, 3))
+    h, S, T = solve_level(EdgeArrays(src, dst), i, j, Fraction(1, 3))
     assert h == _brute_h(src, dst, i, j, Fraction(1, 3))
 
 
@@ -66,11 +66,11 @@ def test_witness_attains_h(seed):
     src, dst = _tiny_graph(seed + 50)
     i, j = 2, 3
     lam = _mu_level(0.8, i, j)
-    h, S, T = solve_level(src, dst, i, j, lam)
+    e = EdgeArrays(src, dst)
+    h, S, T = solve_level(e, i, j, lam)
     if len(S) == 0:
         assert h == 0
         return
-    e = EdgeArrays(src.astype(np.int64), dst.astype(np.int64))
     m_st = e.edges_between(S, T)
     assert m_st - lam * (j * len(S) + i * len(T)) == h
 
@@ -78,7 +78,7 @@ def test_witness_attains_h(seed):
 def test_high_level_selects_nothing():
     src = np.array([0, 1, 2], dtype=np.int64)
     dst = np.array([1, 2, 0], dtype=np.int64)
-    h, S, T = solve_level(src, dst, 1, 1, lam=Fraction(50))
+    h, S, T = solve_level(EdgeArrays(src, dst), 1, 1, lam=Fraction(50))
     assert h == 0
     assert len(S) == 0 and len(T) == 0
 
@@ -86,7 +86,7 @@ def test_high_level_selects_nothing():
 def test_zero_level_selects_everything():
     src = np.array([0, 1, 2], dtype=np.int64)
     dst = np.array([1, 2, 0], dtype=np.int64)
-    h, S, T = solve_level(src, dst, 1, 1, lam=Fraction(0))
+    h, S, T = solve_level(EdgeArrays(src, dst), 1, 1, lam=Fraction(0))
     # at λ=0 selecting all edges costs nothing and earns m
     assert h == 3
     assert set(S) == {0, 1, 2} and set(T) == {0, 1, 2}
@@ -94,14 +94,14 @@ def test_zero_level_selects_everything():
 
 def test_empty_graph():
     z = np.array([], dtype=np.int64)
-    h, S, T = solve_level(z, z, 1, 1, Fraction(1))
+    h, S, T = solve_level(EdgeArrays(z, z), 1, 1, Fraction(1))
     assert h == 0 and len(S) == 0 and len(T) == 0
 
 
 def test_network_shape():
     src = np.array([0, 0, 1], dtype=np.int64)
     dst = np.array([1, 2, 2], dtype=np.int64)
-    net = build_dds_network(src, dst, 1, 2, Fraction(2, 3))
+    net = build_dds_network(EdgeArrays(src, dst), 1, 2, Fraction(2, 3))
     # nodes: s, t, 2 sources, 2 destinations; no node per edge
     assert net.dinic.n == network_nodes(2, 2) == 2 + 2 + 2
     # arcs: one per edge, s→u_out and u_out→t per source, v_in→t per destination
@@ -115,7 +115,7 @@ def test_network_shape():
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         build_dds_network(
-            np.array([0, 1]), np.array([1]), 1, 1, Fraction(1)
+            EdgeArrays(np.array([0, 1]), np.array([1])), 1, 1, Fraction(1)
         )
 
 
@@ -150,6 +150,6 @@ def test_h_matches_networkx_min_cut(seed, i, j, scale):
     assert 100 <= e.m <= 300
     # around the full graph's own μ, where the cut is neither empty nor full
     lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
-    h, S, T = solve_level(e.src, e.dst, i, j, lam)
+    h, S, T = solve_level(e, i, j, lam)
     assert h == _nx_h(e.src, e.dst, i, j, lam)
     assert e.edges_between(S, T) - lam * (j * len(S) + i * len(T)) == h

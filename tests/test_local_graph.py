@@ -1,4 +1,6 @@
 """Tests for the local EdgeArrays mirror."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,51 @@ def test_labels_survive_dense_ids():
         assert got.rho2 == want.rho2 and got.stats == want.stats
         assert got.S.tolist() == lab[want.S].tolist()
         assert got.T.tolist() == lab[want.T].tolist()
+
+
+def _with_absent_vertices():
+    """Subsets whose id spaces still hold vertices that no edge of theirs
+    touches: xs-plant without whole sources and destinations, and a
+    complete 3×4 block cut from a graph with two more sources and
+    destinations (there the full pair is the densest)."""
+    from repro import datasets
+
+    e = datasets.load_local("xs-plant")
+    block = _e([(u, v) for u in range(3) for v in range(10, 14)] + [(7, 8), (8, 9)])
+    return [e.select((e.src % 3 != 0) & (e.dst % 4 != 1)), block.select(block.src < 3)]
+
+
+def test_selected_subsets_answer_as_their_copies():
+    """Every kernel that needs one id per vertex present compacts first:
+    on a subset that keeps its parent's id space, each returns what it
+    returns on a fresh copy of the same edges."""
+    from repro.core.approx import bs_approx, core_approx, ks_approx
+    from repro.core.exact import core_exact, dc_exact
+    from repro.flow.network import build_dds_network, network_nodes, solve_level
+
+    for sub in _with_absent_vertices():
+        # KS-Approx's (1+0.5)-grid would be longer on the uncompacted sizes
+        assert sub.src_ids.n * sub.dst_ids.n > 1.5 * sub.n_src * sub.n_dst
+        fresh = EdgeArrays(sub.src.copy(), sub.dst.copy())
+        for i, j, lam in [(1, 1, Fraction(1)), (2, 3, Fraction(1, 2))]:
+            got, want = solve_level(sub, i, j, lam), solve_level(fresh, i, j, lam)
+            assert got[0] == want[0] and len(got[1]) > 0
+            assert [x.tolist() for x in got[1:]] == [x.tolist() for x in want[1:]]
+            net = build_dds_network(sub, i, j, lam)
+            assert net.dinic.n == network_nodes(sub.n_src, sub.n_dst)
+        for algo in (core_approx, bs_approx, ks_approx, core_exact, dc_exact):
+            got, want = algo(sub), algo(fresh)
+            assert (got.rho2, got.edges_st, got.stats) == (want.rho2, want.edges_st, want.stats)
+            assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
+
+
+def test_results_cannot_write_into_the_index():
+    """A result's S and T may be its input's own sorted labels: writing into
+    them raises instead of corrupting the input's cached ids."""
+    from repro.core.approx import core_approx
+
+    e = _e([(0, 2), (0, 3), (1, 2), (1, 3)])
+    r = core_approx(e)
+    with pytest.raises(ValueError):
+        r.S[0] = 5
+    assert e.src_ids.labels.tolist() == [0, 1]
