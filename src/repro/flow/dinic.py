@@ -7,8 +7,21 @@ appropriate substrate (see DESIGN.md "Layering decision").
 Capacities are non-negative integers (the DDS network scales a rational
 density level to integers), so every residual comparison is an exact
 ``cap > 0`` and the flow value is exact: there is no epsilon.
+
+A network may start from a feasible flow already written into its residual
+capacities (``from_arcs``); ``max_flow`` then returns only the amount it
+adds. Within a phase the depth-first search keeps its path: after pushing
+along it, it retreats to the tail of the first arc the push saturated
+rather than restarting from ``s``, so the unsaturated prefix of the path
+is not searched for again.
+
+Neither changes the cut. ``min_cut_source_side`` returns the nodes
+reachable from ``s`` in the final residual graph, which is the unique
+minimal minimum cut whichever maximum flow was found.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 class Dinic:
@@ -24,6 +37,28 @@ class Dinic:
         self.graph: list[list[int]] = [[] for _ in range(n)]  # node -> edge ids
         self.to: list[int] = []
         self.cap: list[int] = []
+
+    @classmethod
+    def from_arcs(
+        cls, n: int, tail: np.ndarray, head: np.ndarray, residual: list[int]
+    ) -> "Dinic":
+        """The network with arcs ``tail[k]→head[k]``, numbered and listed per
+        node as ``add_edge`` in order of ``k`` would.
+
+        ``residual`` holds two residual capacities per arc, forward then
+        reverse: ``cap[k] − f[k]`` and ``f[k]`` for a feasible flow ``f``
+        (all zeros for no flow).
+        """
+        net = cls(n)
+        ends = np.empty(2 * len(tail), dtype=np.int64)
+        ends[0::2], ends[1::2] = tail, head  # arc 2k leaves tail[k], its twin head[k]
+        order = np.argsort(ends, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        net.graph = [order[a:b] for a, b in zip([0, *bounds], bounds)]
+        ends[0::2], ends[1::2] = head, tail
+        net.to = ends.tolist()
+        net.cap = residual
+        return net
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add a directed edge u→v with capacity ``cap``; returns its id."""
@@ -44,69 +79,68 @@ class Dinic:
         lvl[s] = 0
         q = [s]
         to, cap, graph = self.to, self.cap, self.graph
-        while q:
+        while q and lvl[t] < 0:  # nodes past t's layer reach t by no level path
             nq = []
             for u in q:
-                lu = lvl[u]
+                lu = lvl[u] + 1
                 for k in graph[u]:
                     v = to[k]
                     if cap[k] > 0 and lvl[v] < 0:
-                        lvl[v] = lu + 1
+                        lvl[v] = lu
                         nq.append(v)
             q = nq
         return lvl[t] >= 0
 
-    def _augment(self, s: int, t: int) -> int:
-        """Find one augmenting path in the level graph and push along it.
-
-        Uses the per-node edge iterators (``self.iter``) so repeated calls
-        within one phase amortize to a blocking flow. Returns 0 when the
-        level graph admits no further path.
-        """
-        to, cap, lvl, it, graph = self.to, self.cap, self.level, self.iter, self.graph
-        path: list[int] = []  # edge ids along current path
-        u = s
-        while True:
-            if u == t:
-                f = min(cap[k] for k in path)
-                for k in path:
-                    cap[k] -= f
-                    cap[k ^ 1] += f
-                return f
-            advanced = False
-            while it[u] < len(graph[u]):
-                k = graph[u][it[u]]
-                v = to[k]
-                if cap[k] > 0 and lvl[v] == lvl[u] + 1:
-                    path.append(k)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
-                continue
-            lvl[u] = -1  # dead end: prune from level graph
-            if u == s:
-                return 0
-            k = path.pop()
-            u = to[k ^ 1]  # tail of the popped edge
-            it[u] += 1
-
     # -- public API --------------------------------------------------------
     def max_flow(self, s: int, t: int) -> int:
-        """Compute the maximum s→t flow value."""
+        """Augment to a maximum s→t flow; returns the value added to the
+        flow the residual capacities started from."""
+        to, cap, graph = self.to, self.cap, self.graph
         flow = 0
         while self._bfs(s, t):
-            self.iter = [0] * self.n
-            while (f := self._augment(s, t)) > 0:
-                flow += f
+            lvl = self.level
+            it = [0] * self.n  # per node: position of the next arc to try
+            path: list[int] = []  # arc ids from s to u in the level graph
+            u = s
+            while True:
+                if u == t:
+                    f = min([cap[k] for k in path])
+                    flow += f
+                    cut = len(path)
+                    for x in range(cut - 1, -1, -1):
+                        k = path[x]
+                        cap[k] -= f
+                        cap[k ^ 1] += f
+                        if not cap[k]:
+                            cut = x
+                    del path[cut:]  # back to the tail of the first saturated arc
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs, i, want = graph[u], it[u], lvl[u] + 1
+                na = len(arcs)
+                while i < na:
+                    k = arcs[i]
+                    if cap[k] > 0 and lvl[to[k]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < na:
+                    path.append(k)
+                    u = to[k]
+                    continue
+                lvl[u] = -1  # dead end: prune from level graph
+                if u == s:
+                    break
+                k = path.pop()
+                u = to[k ^ 1]  # tail of the popped arc
+                it[u] += 1
         return flow
 
     def min_cut_source_side(self, s: int) -> list[int]:
         """Nodes reachable from ``s`` in the residual graph.
 
         Valid only after :meth:`max_flow`; this is the S-side of a
-        minimum st-cut.
+        minimum st-cut, the smallest one.
         """
         seen = [False] * self.n
         seen[s] = True

@@ -23,7 +23,17 @@ so the cut value and ``h`` are exact.
 The network is built on an ``EdgeArrays``: its compacted dense ids
 (``EdgeArrays.compact``) number the nodes in sorted label order, and its
 ``degrees()`` give the source capacities, so this module derives no ids
-of its own.
+of its own. The arcs are laid out from arrays (``Dinic.from_arcs``).
+
+Before Dinic runs, one greedy pass over the edges, in edge order, routes
+each edge's ``q`` units through ``u_out→t`` while that arc has room, and
+the rest through ``u_out→v_in→t`` while ``v_in→t`` has room. The flow is
+feasible (``s→u_out`` carries exactly what ``u_out``'s edges route), and on
+the core-pruned networks it is most of the maximum flow, so Dinic is left
+only the paths that share sink arcs. The cut read off afterwards is the
+nodes reachable from ``s`` in the residual graph: the unique minimal
+minimum cut, whatever flow it was reached from, so ``h``, ``S`` and ``T``
+do not depend on the greedy start.
 """
 from __future__ import annotations
 
@@ -51,6 +61,7 @@ class DDSNetwork:
     dst_labels: np.ndarray  # T-side node k+2+len(S) -> vertex label dst_labels[k]
     m: int  # edge count
     q: int  # denominator of the level; every capacity is scaled by it
+    greedy_flow: int  # value of the flow the residual capacities start from
 
     def solve(self) -> tuple[Fraction, np.ndarray, np.ndarray]:
         """Max-flow; returns ``(h, S, T)`` with ``h = (q*m - mincut)/q``.
@@ -58,7 +69,7 @@ class DDSNetwork:
         ``S``/``T`` are vertex-label arrays of the maximizing pair (empty
         when the maximizer is the empty selection, i.e. ``h == 0``).
         """
-        cut_value = self.dinic.max_flow(0, 1)
+        cut_value = self.greedy_flow + self.dinic.max_flow(0, 1)
         h = Fraction(self.q * self.m - cut_value, self.q)
         side = self.dinic.min_cut_source_side(0)
         ns, nt = len(self.src_labels), len(self.dst_labels)
@@ -68,26 +79,71 @@ class DDSNetwork:
 
 
 def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwork:
-    """Build the decision network for the edge set ``e``.
+    """Build the decision network for the edge set ``e``, carrying the
+    greedy first pass's flow.
 
     S-side and T-side candidate sets are the distinct sources and
     destinations of ``e``, in sorted label order; ``e`` may be a core that
     keeps its parent's id space. ``lam`` is a non-negative rational level.
     """
     p, q = lam.numerator, lam.denominator
+    pj, pi = p * j, p * i
     e = e.compact()
     s, t = e.src_ids, e.dst_ids
     ns, nt = s.n, t.n
-    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in
-    net = Dinic(network_nodes(ns, nt))
-    for k, d in enumerate(s.degrees().tolist()):
-        net.add_edge(0, 2 + k, q * d)
-        net.add_edge(2 + k, 1, p * j)
-    for k in range(nt):
-        net.add_edge(2 + ns + k, 1, p * i)
-    for u, v in zip(s.ids.tolist(), t.ids.tolist()):
-        net.add_edge(2 + u, 2 + ns + v, q)
-    return DDSNetwork(net, s.labels, t.labels, e.m, q)
+    src, dst = s.ids.tolist(), t.ids.tolist()
+
+    # greedy pass; capacities may exceed int64, so it runs on Python ints
+    u_room = [pj] * ns  # residual of u_out→t
+    v_room = [pi] * nt  # residual of v_in→t
+    through = [0] * e.m  # flow on each edge's u_out→v_in
+    out = [0] * ns  # flow from each u_out over its edges' arcs
+    k = -1
+    for u, v in zip(src, dst):
+        k += 1
+        a = u_room[u]
+        if a >= q:
+            u_room[u] = a - q
+            continue
+        f = q - a
+        b = v_room[v]
+        if f > b:
+            f = b
+        if a:
+            u_room[u] = 0
+        if f:
+            v_room[v] = b - f
+            through[k] = f
+            out[u] += f
+    # s→u_out (capacity q·d_out(u)) carries what u_out sends on
+    sent = [pj - a + f for a, f in zip(u_room, out)]
+
+    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in; arcs in
+    # order: s→u_out and u_out→t per source, v_in→t per destination, then
+    # u_out→v_in per edge
+    u_nodes = np.arange(2, 2 + ns, dtype=np.int64)
+    v_nodes = np.arange(2 + ns, 2 + ns + nt, dtype=np.int64)
+    tail = np.concatenate([
+        np.column_stack([np.zeros(ns, dtype=np.int64), u_nodes]).ravel(),
+        v_nodes, s.ids + 2,
+    ])
+    head = np.concatenate([
+        np.column_stack([u_nodes, np.ones(ns, dtype=np.int64)]).ravel(),
+        np.ones(nt, dtype=np.int64), t.ids + (2 + ns),
+    ])
+    residual = [0] * (2 * len(tail))  # forward, reverse per arc
+    residual[0:4 * ns:4] = [q * d - f for d, f in zip(s.degrees().tolist(), sent)]
+    residual[1:4 * ns:4] = sent
+    residual[2:4 * ns:4] = u_room
+    residual[3:4 * ns:4] = [pj - r for r in u_room]
+    o = 4 * ns
+    residual[o:o + 2 * nt:2] = v_room
+    residual[o + 1:o + 2 * nt:2] = [pi - r for r in v_room]
+    o += 2 * nt
+    residual[o::2] = [q - f for f in through]
+    residual[o + 1::2] = through
+    net = Dinic.from_arcs(network_nodes(ns, nt), tail, head, residual)
+    return DDSNetwork(net, s.labels, t.labels, e.m, q, sum(sent))
 
 
 def solve_level(

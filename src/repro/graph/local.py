@@ -160,9 +160,11 @@ def check_no_duplicates(edges) -> None:
     """
     if not isinstance(edges, EdgeArrays) or edges.m < 2:
         return
-    order = np.lexsort((edges.dst, edges.src))
-    s, d = edges.src[order], edges.dst[order]
-    if np.any((s[1:] == s[:-1]) & (d[1:] == d[:-1])):
+    s, t = edges.src_ids, edges.dst_ids
+    # one int64 key per pair; each side's n is at most the edge count of the
+    # set its ids were built on, so keys stay below 2⁶³ under 3·10⁹ edges
+    key = np.sort(s.ids * t.n + t.ids)
+    if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate (src, dst) edges; remove them with dedup()")
 
 

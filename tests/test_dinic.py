@@ -134,3 +134,30 @@ def test_min_cut_source_side_is_valid_cut(seed):
     assert 0 in side and (n - 1) not in side or flow == 0
     cap = sum(c for (u, v, c) in edges if u in side and v not in side)
     assert cap == pytest.approx(flow)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_arcs_lays_out_arcs_as_add_edge(seed):
+    """Arcs built from arrays get the ids, per-node order and capacities
+    that ``add_edge`` calls in the same order give."""
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(3, 9))
+    tail, head = rng.integers(0, n, 20), rng.integers(0, n, 20)
+    caps = rng.integers(0, 9, 20).tolist()
+    by_calls = Dinic(n)
+    for u, v, c in zip(tail.tolist(), head.tolist(), caps):
+        by_calls.add_edge(u, v, c)
+    by_arrays = Dinic.from_arcs(n, tail, head, [x for c in caps for x in (c, 0)])
+    assert (by_arrays.n, by_arrays.to, by_arrays.graph, by_arrays.cap) == (
+        by_calls.n, by_calls.to, by_calls.graph, by_calls.cap
+    )
+    assert by_arrays.max_flow(0, n - 1) == by_calls.max_flow(0, n - 1)
+
+
+def test_max_flow_adds_to_a_starting_flow():
+    """s→a→t and s→t, capacity 5 each, starting from 3 units on s→a→t:
+    ``max_flow`` returns the 7 it adds, and the cut is the same."""
+    tail, head = np.array([0, 1, 0]), np.array([1, 2, 2])
+    d = Dinic.from_arcs(3, tail, head, [2, 3, 2, 3, 5, 0])
+    assert d.max_flow(0, 2) == 7
+    assert d.min_cut_source_side(0) == [0]

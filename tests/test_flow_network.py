@@ -122,9 +122,8 @@ def test_mismatched_arrays_rejected():
 # --- networkx as an independent min-cut oracle -------------------------------
 
 
-def _nx_h(src, dst, i, j, lam):
-    """h at level λ from networkx's min cut on the vertex network, built
-    here from the edge list alone."""
+def _nx_network(src, dst, i, j, lam):
+    """The vertex network at level λ, built here from the edge list alone."""
     p, q = lam.numerator, lam.denominator
     g = nx.DiGraph()
     g.add_nodes_from(["s", "t"])
@@ -135,21 +134,87 @@ def _nx_h(src, dst, i, j, lam):
         g.add_edge(("in", int(v)), "t", capacity=p * i)
     for u, v in zip(src.tolist(), dst.tolist()):
         g.add_edge(("out", u), ("in", v), capacity=q)
-    cut, _ = nx.minimum_cut(g, "s", "t")
-    return Fraction(q * len(src) - cut, q)
+    return g
+
+
+def _nx_min_cut(src, dst, i, j, lam):
+    """``(h, S, T)`` at level λ from networkx's maximum flow: S and T are
+    the vertices whose nodes the residual graph reaches from s, the source
+    side of the smallest minimum cut."""
+    g = _nx_network(src, dst, i, j, lam)
+    value, flow = nx.maximum_flow(g, "s", "t")
+    seen, todo = {"s"}, ["s"]
+    while todo:
+        u = todo.pop()
+        room = [v for v, d in g.succ[u].items() if flow[u][v] < d["capacity"]]
+        room += [v for v in g.pred[u] if flow[v][u] > 0]
+        for v in room:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    side = sorted(x for x in seen if x not in ("s", "t"))
+    h = Fraction(lam.denominator * len(src) - value, lam.denominator)
+    return h, [x for kind, x in side if kind == "out"], [x for kind, x in side if kind == "in"]
+
+
+def _oracle_graph(seed):
+    make = gen.er_directed if seed % 2 else gen.powerlaw_directed
+    e = make(40, int(np.random.default_rng(seed).integers(100, 301)), seed=seed)
+    assert 100 <= e.m <= 300
+    return e
+
+
+# levels at, above and below the full graph's own μ
+SCALES = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
-@pytest.mark.parametrize("scale", [Fraction(1), Fraction(11, 10)])
+@pytest.mark.parametrize("scale", SCALES)
 def test_h_matches_networkx_min_cut(seed, i, j, scale):
     """On graphs of 100–300 edges, where enumeration cannot go, h and the
-    decoded (S,T) must agree with networkx's min cut."""
-    make = gen.er_directed if seed % 2 else gen.powerlaw_directed
-    e = make(40, int(np.random.default_rng(seed).integers(100, 301)), seed=seed)
-    assert 100 <= e.m <= 300
-    # around the full graph's own μ, where the cut is neither empty nor full
+    decoded (S,T) must be networkx's: the same value, and exactly the
+    smallest minimum cut's source side, not just some pair attaining h.
+
+    Dinkelbach's steps are followed to its last level, where h = 0 and the
+    empty pair ties the densest one, so a larger minimum cut shows."""
+    e = _oracle_graph(seed)
     lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
-    h, S, T = solve_level(e, i, j, lam)
-    assert h == _nx_h(e.src, e.dst, i, j, lam)
-    assert e.edges_between(S, T) - lam * (j * len(S) + i * len(T)) == h
+    while True:
+        h, S, T = solve_level(e, i, j, lam)
+        assert (h, S.tolist(), T.tolist()) == _nx_min_cut(e.src, e.dst, i, j, lam)
+        m_st = e.edges_between(S, T)
+        assert m_st - lam * (j * len(S) + i * len(T)) == h
+        if h == 0:
+            break
+        lam = Fraction(m_st, j * len(S) + i * len(T))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
+@pytest.mark.parametrize("scale", SCALES)
+def test_greedy_start_is_a_feasible_flow(seed, i, j, scale):
+    """The flow the greedy first pass writes into a fresh network respects
+    every arc's capacity, is conserved at every inner node, and has the
+    value the network records."""
+    e = _oracle_graph(seed)
+    lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
+    net = build_dds_network(e, i, j, lam)
+    g = _nx_network(e.src, e.dst, i, j, lam)
+    labels = {0: "s", 1: "t"}
+    labels.update({2 + k: ("out", int(u)) for k, u in enumerate(net.src_labels)})
+    ns = len(net.src_labels)
+    labels.update({2 + ns + k: ("in", int(v)) for k, v in enumerate(net.dst_labels)})
+    to, cap = net.dinic.to, net.dinic.cap
+    balance = [0] * net.dinic.n
+    arcs = set()
+    for k in range(0, len(to), 2):
+        tail, head = to[k + 1], to[k]
+        flow = cap[k + 1]  # a reverse arc starts empty, so it holds the flow
+        assert 0 <= flow <= flow + cap[k] == g.edges[labels[tail], labels[head]]["capacity"]
+        arcs.add((labels[tail], labels[head]))
+        balance[tail] -= flow
+        balance[head] += flow
+    assert arcs == set(g.edges)
+    assert balance[2:] == [0] * (net.dinic.n - 2)
+    assert net.greedy_flow == -balance[0] == balance[1]

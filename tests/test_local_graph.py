@@ -71,6 +71,27 @@ def test_select_keeps_the_parent_id_space():
     assert sub.edges_between(np.array([10]), np.array([-3, 7])) == 1
 
 
+def test_duplicate_check_on_dense_ids():
+    """The check keys each pair by its source and destination ids: it finds
+    a repeat among sparse, ≥ 2⁶² and negative labels, also inside a subset
+    whose id space still holds vertices it lost, and passes a subset
+    without one, compacted or not."""
+    from repro.graph.local import check_no_duplicates
+
+    neg, big, sparse = -(2**63), 2**62 + 9, 10**12
+    e = _e([(neg, big), (big, neg), (sparse, 3), (3, sparse), (neg, 3), (neg, big)])
+    with pytest.raises(ValueError, match="duplicate"):
+        check_no_duplicates(e)
+    sub = e.select(np.array([True, True, False, False, True, True]))
+    assert (sub.src_ids.n, sub.dst_ids.n, sub.n_src, sub.n_dst) == (4, 4, 2, 3)
+    with pytest.raises(ValueError, match="duplicate"):
+        check_no_duplicates(sub)
+    ok = e.select(np.array([True, True, False, True, True, False]))
+    check_no_duplicates(ok)
+    check_no_duplicates(ok.compact())
+    check_no_duplicates(sub.select(np.array([True, True, True, False])).compact())
+
+
 def test_labels_survive_dense_ids():
     """Sparse, huge and negative labels give the answers of their 0..n−1
     relabelling, mapped back: degrees are never counted on raw labels."""
