@@ -36,16 +36,15 @@ from repro.core.density import rho2_frac
 from repro.core.ratios import check_eps, geometric_grid
 from repro.core.result import DDSResult
 from repro.core.xycore import degree_round, engine_for, max_xy_core, to_driver, to_local
-from repro.graph.local import EdgeArrays, check_no_duplicates
+from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
 
 
 def core_approx(edges) -> DDSResult:
     """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
     core = max_xy_core(edges)  # rejects duplicate edges
-    e = core.edges.compact()
     stats = dict(core.stats)
     stats.update({"x": core.x, "y": core.y, "xy": core.x * core.y})
-    return DDSResult(S=e.src_ids.labels, T=e.dst_ids.labels, edges_st=e.m, stats=stats)
+    return DDSResult.of_edges(core.edges, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +116,7 @@ def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
     check_no_duplicates(e)
     stats = {"ratios": 0, "eps": eps}
     if e.m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, stats)
+        return DDSResult.of_edges(empty_edges(), stats)
     e = e.compact()  # the peel counts every id of the space as a vertex
     grid = geometric_grid(1.0 / e.dst_ids.n, float(e.src_ids.n), eps)
     best: DDSResult | None = None
@@ -173,8 +171,7 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
     ns, nt, m = counts = engine_for(edges).counts(edges)
     stats = {"ratios": 0, "eps": eps, "peel_rounds": 0}
     if m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, stats)
+        return DDSResult.of_edges(empty_edges(), stats)
     edges = to_driver(edges, m)
     check_no_duplicates(edges)
     grid = geometric_grid(1.0 / nt, float(ns), eps)
@@ -185,5 +182,4 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
         if rho2 > best_rho2:
             best, best_rho2 = state, rho2
     stats["ratios"] = len(grid)
-    e = to_local(best).compact()
-    return DDSResult(e.src_ids.labels, e.dst_ids.labels, e.m, stats)
+    return DDSResult.of_edges(to_local(best), stats)

@@ -39,15 +39,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-import numpy as np
-
 from repro.core.approx import core_approx
 from repro.core.density import skewed2_frac
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
 from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
 from repro.flow.network import network_nodes, solve_level
-from repro.graph.local import EdgeArrays, check_no_duplicates
+from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
 
 _ROOT_DIGITS = 2**64  # resolution of a value rounded down from an irrational root
 _PROBE_DELTA = Fraction(1, 5)  # δ: Core-Exact probes each ratio at ρ_best·(1−δ)
@@ -90,6 +88,11 @@ def solve_ratio(
     (meaning F(a) ≤ 2√(ij)·lam0). With ``prune_cores`` every iteration
     first shrinks the graph to the [x(λ),y(λ)]-core; cores are nested as λ
     grows, so shrinking the *current* core is valid.
+
+    Each step reads everything off its min cut. The cut is the smallest
+    one, so it selects nothing exactly when h = 0, which ends the
+    iteration; otherwise h = |E(S,T)| − λ·(j|S| + i|T|) gives |E(S,T)|
+    exactly, and its μ is the next level.
     """
     st = stats if stats is not None else {}
     cur = e
@@ -108,19 +111,12 @@ def solve_ratio(
         if not nodes:  # cores nest, so a call's first network is its largest
             nodes = network_nodes(cur.n_src, cur.n_dst)
             st["max_flow_nodes"] = max(st.get("max_flow_nodes", 0), nodes)
-        if len(s_sel) == 0 or len(t_sel) == 0:
+        if h == 0:  # the empty pair attains h: no pair above λ, converged
             return best
-        m_st = cur.edges_between(s_sel, t_sel)
-        mu = Fraction(m_st, j * len(s_sel) + i * len(t_sel))
-        if mu <= lam:  # no strict improvement — converged
-            return best
+        w = j * len(s_sel) + i * len(t_sel)
+        m_st = int(h + lam * w)  # h = |E(S,T)| − λw exactly
         best = DDSResult(s_sel, t_sel, m_st)
-        lam = mu
-
-
-def _full_graph_pair(e: EdgeArrays) -> DDSResult:
-    c = e.compact()
-    return DDSResult(c.src_ids.labels, c.dst_ids.labels, e.m, {})
+        lam = Fraction(m_st, w)
 
 
 def _sweep(lo: Fraction, hi: Fraction, ns: int, nt: int, settle) -> None:
@@ -143,9 +139,8 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     check_no_duplicates(e)
     stats: dict = {"algo": "exact", "cuts": 0, "max_flow_nodes": 0, "ratios_solved": 0}
     if e.m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, stats)
-    best = _full_graph_pair(e)
+        return DDSResult.of_edges(empty_edges(), stats)
+    best = DDSResult.of_edges(e, {})
     ratios = all_candidate_ratios(e.n_src, e.n_dst)
     for a in ratios:
         i, j = a.numerator, a.denominator
@@ -167,9 +162,8 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
     check_no_duplicates(e)
     stats: dict = {"algo": "dc-exact", "ratios_solved": 0, "cuts": 0, "max_flow_nodes": 0}
     if e.m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, stats)
-    best = _full_graph_pair(e)
+        return DDSResult.of_edges(empty_edges(), stats)
+    best = DDSResult.of_edges(e, {})
     ns, nt = e.n_src, e.n_dst
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
@@ -260,8 +254,7 @@ def core_exact(edges) -> DDSResult:
     }
     ns, nt, m = engine_for(edges).counts(edges)
     if m == 0:
-        z = np.array([], dtype=np.int64)
-        return DDSResult(z, z, 0, stats)
+        return DDSResult.of_edges(empty_edges(), stats)
     edges = to_driver(edges, m)
     eng = engine_for(edges)
     approx = core_approx(edges)  # rejects duplicate edges
@@ -271,7 +264,7 @@ def core_exact(edges) -> DDSResult:
     # the trivial full pair can beat the max-xy core on near-regular graphs
     full_rho2 = Fraction(m * m, ns * nt)
     if full_rho2 > best.rho2:
-        best = _full_graph_pair(to_local(edges))
+        best = DDSResult.of_edges(to_local(edges), {})
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
         """Probe/solve ratio a; returns the settled closed ratio interval."""

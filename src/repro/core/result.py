@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from repro.core.density import rho2_frac
+from repro.graph.local import EdgeArrays
+
 
 @dataclass
 class DDSResult:
@@ -24,11 +27,16 @@ class DDSResult:
     edges_st: int
     stats: dict = field(default_factory=dict)
 
+    @classmethod
+    def of_edges(cls, e: EdgeArrays, stats: dict) -> "DDSResult":
+        """The pair an edge set spans: its distinct sources and
+        destinations, with all of its edges (empty if it has none)."""
+        c = e.compact()
+        return cls(c.src_ids.labels, c.dst_ids.labels, c.m, stats)
+
     @property
     def rho2(self) -> Fraction:
-        if len(self.S) == 0 or len(self.T) == 0:
-            return Fraction(0)
-        return Fraction(self.edges_st * self.edges_st, len(self.S) * len(self.T))
+        return rho2_frac(self.edges_st, len(self.S), len(self.T))
 
     @property
     def rho(self) -> float:

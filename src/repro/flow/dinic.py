@@ -8,16 +8,18 @@ Capacities are non-negative integers (the DDS network scales a rational
 density level to integers), so every residual comparison is an exact
 ``cap > 0`` and the flow value is exact: there is no epsilon.
 
-A network may start from a feasible flow already written into its residual
-capacities (``from_arcs``); ``max_flow`` then returns only the amount it
-adds. Within a phase the depth-first search keeps its path: after pushing
-along it, it retreats to the tail of the first arc the push saturated
-rather than restarting from ``s``, so the unsaturated prefix of the path
-is not searched for again.
+A network may start from a feasible flow: ``from_arcs`` takes one capacity
+and one start flow per arc and lays out the residuals itself, and
+``max_flow`` then returns only the amount it adds. Within a phase the
+depth-first search keeps its path: after pushing along it, it retreats to
+the tail of the first arc the push saturated rather than restarting from
+``s``, so the unsaturated prefix of the path is not searched for again.
 
-Neither changes the cut. ``min_cut_source_side`` returns the nodes
-reachable from ``s`` in the final residual graph, which is the unique
-minimal minimum cut whichever maximum flow was found.
+Neither changes the cut. ``max_flow`` ends with a BFS that finds no path
+to ``t``, so its fresh level array labels exactly the nodes reachable from
+``s`` in the final residual graph; ``min_cut_source_side`` reads them off
+it without a second search. That set is the unique minimal minimum cut
+whichever maximum flow was found.
 """
 from __future__ import annotations
 
@@ -40,14 +42,11 @@ class Dinic:
 
     @classmethod
     def from_arcs(
-        cls, n: int, tail: np.ndarray, head: np.ndarray, residual: list[int]
+        cls, n: int, tail: np.ndarray, head: np.ndarray, cap: list[int], flow: list[int]
     ) -> "Dinic":
-        """The network with arcs ``tail[k]→head[k]``, numbered and listed per
-        node as ``add_edge`` in order of ``k`` would.
-
-        ``residual`` holds two residual capacities per arc, forward then
-        reverse: ``cap[k] − f[k]`` and ``f[k]`` for a feasible flow ``f``
-        (all zeros for no flow).
+        """The network with arcs ``tail[k]→head[k]`` of capacity ``cap[k]``,
+        numbered and listed per node as ``add_edge`` in order of ``k`` would,
+        carrying the feasible flow ``flow[k]`` (all zeros for no flow).
         """
         net = cls(n)
         ends = np.empty(2 * len(tail), dtype=np.int64)
@@ -57,7 +56,9 @@ class Dinic:
         net.graph = [order[a:b] for a, b in zip([0, *bounds], bounds)]
         ends[0::2], ends[1::2] = head, tail
         net.to = ends.tolist()
-        net.cap = residual
+        net.cap = [0] * len(ends)  # forward residual cap − flow, then reverse flow
+        net.cap[0::2] = [c - f for c, f in zip(cap, flow)]
+        net.cap[1::2] = flow
         return net
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
@@ -94,7 +95,8 @@ class Dinic:
     # -- public API --------------------------------------------------------
     def max_flow(self, s: int, t: int) -> int:
         """Augment to a maximum s→t flow; returns the value added to the
-        flow the residual capacities started from."""
+        flow the residual capacities started from. The last BFS, which
+        finds no path to ``t``, leaves the cut in ``self.level``."""
         to, cap, graph = self.to, self.cap, self.graph
         flow = 0
         while self._bfs(s, t):
@@ -136,21 +138,10 @@ class Dinic:
                 it[u] += 1
         return flow
 
-    def min_cut_source_side(self, s: int) -> list[int]:
-        """Nodes reachable from ``s`` in the residual graph.
+    def min_cut_source_side(self) -> list[int]:
+        """Nodes reachable from ``s`` in the residual graph: the S-side of
+        the smallest minimum st-cut.
 
-        Valid only after :meth:`max_flow`; this is the S-side of a
-        minimum st-cut, the smallest one.
+        Valid only after :meth:`max_flow`, whose last BFS labelled them.
         """
-        seen = [False] * self.n
-        seen[s] = True
-        q = [s]
-        to, cap, graph = self.to, self.cap, self.graph
-        while q:
-            u = q.pop()
-            for k in graph[u]:
-                v = to[k]
-                if cap[k] > 0 and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return [i for i, b in enumerate(seen) if b]
+        return [v for v, lv in enumerate(self.level) if lv >= 0]

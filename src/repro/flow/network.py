@@ -23,7 +23,9 @@ so the cut value and ``h`` are exact.
 The network is built on an ``EdgeArrays``: its compacted dense ids
 (``EdgeArrays.compact``) number the nodes in sorted label order, and its
 ``degrees()`` give the source capacities, so this module derives no ids
-of its own. The arcs are laid out from arrays (``Dinic.from_arcs``).
+of its own. The arcs go to ``Dinic.from_arcs`` in four plain groups,
+s→u_out, u_out→t, v_in→t and u_out→v_in, each with its capacity and start
+flow; Dinic lays out the residuals.
 
 Before Dinic runs, one greedy pass over the edges, in edge order, routes
 each edge's ``q`` units through ``u_out→t`` while that arc has room, and
@@ -31,9 +33,9 @@ the rest through ``u_out→v_in→t`` while ``v_in→t`` has room. The flow is
 feasible (``s→u_out`` carries exactly what ``u_out``'s edges route), and on
 the core-pruned networks it is most of the maximum flow, so Dinic is left
 only the paths that share sink arcs. The cut read off afterwards is the
-nodes reachable from ``s`` in the residual graph: the unique minimal
-minimum cut, whatever flow it was reached from, so ``h``, ``S`` and ``T``
-do not depend on the greedy start.
+nodes reachable from ``s`` in the residual graph, which Dinic's last BFS
+labelled: the unique minimal minimum cut, whatever flow it was reached
+from, so ``h``, ``S`` and ``T`` do not depend on the greedy start.
 """
 from __future__ import annotations
 
@@ -71,11 +73,10 @@ class DDSNetwork:
         """
         cut_value = self.greedy_flow + self.dinic.max_flow(0, 1)
         h = Fraction(self.q * self.m - cut_value, self.q)
-        side = self.dinic.min_cut_source_side(0)
-        ns, nt = len(self.src_labels), len(self.dst_labels)
-        s_sel = [k - 2 for k in side if 2 <= k < 2 + ns]
-        t_sel = [k - 2 - ns for k in side if 2 + ns <= k < 2 + ns + nt]
-        return h, self.src_labels[s_sel], self.dst_labels[t_sel]
+        reach = np.zeros(self.dinic.n, dtype=bool)
+        reach[self.dinic.min_cut_source_side()] = True
+        ns = len(self.src_labels)
+        return h, self.src_labels[reach[2:2 + ns]], self.dst_labels[reach[2 + ns:]]
 
 
 def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwork:
@@ -119,30 +120,15 @@ def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwor
     sent = [pj - a + f for a, f in zip(u_room, out)]
 
     # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in; arcs in
-    # order: s→u_out and u_out→t per source, v_in→t per destination, then
+    # four groups: s→u_out and u_out→t per source, v_in→t per destination,
     # u_out→v_in per edge
     u_nodes = np.arange(2, 2 + ns, dtype=np.int64)
     v_nodes = np.arange(2 + ns, 2 + ns + nt, dtype=np.int64)
-    tail = np.concatenate([
-        np.column_stack([np.zeros(ns, dtype=np.int64), u_nodes]).ravel(),
-        v_nodes, s.ids + 2,
-    ])
-    head = np.concatenate([
-        np.column_stack([u_nodes, np.ones(ns, dtype=np.int64)]).ravel(),
-        np.ones(nt, dtype=np.int64), t.ids + (2 + ns),
-    ])
-    residual = [0] * (2 * len(tail))  # forward, reverse per arc
-    residual[0:4 * ns:4] = [q * d - f for d, f in zip(s.degrees().tolist(), sent)]
-    residual[1:4 * ns:4] = sent
-    residual[2:4 * ns:4] = u_room
-    residual[3:4 * ns:4] = [pj - r for r in u_room]
-    o = 4 * ns
-    residual[o:o + 2 * nt:2] = v_room
-    residual[o + 1:o + 2 * nt:2] = [pi - r for r in v_room]
-    o += 2 * nt
-    residual[o::2] = [q - f for f in through]
-    residual[o + 1::2] = through
-    net = Dinic.from_arcs(network_nodes(ns, nt), tail, head, residual)
+    tail = np.concatenate([np.zeros(ns, dtype=np.int64), u_nodes, v_nodes, s.ids + 2])
+    head = np.concatenate([u_nodes, np.ones(ns + nt, dtype=np.int64), t.ids + (2 + ns)])
+    cap = [q * d for d in s.degrees().tolist()] + [pj] * ns + [pi] * nt + [q] * e.m
+    flow = sent + [pj - r for r in u_room] + [pi - r for r in v_room] + through
+    net = Dinic.from_arcs(network_nodes(ns, nt), tail, head, cap, flow)
     return DDSNetwork(net, s.labels, t.labels, e.m, q, sum(sent))
 
 

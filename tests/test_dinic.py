@@ -68,7 +68,7 @@ def test_cut_side_contains_source_only_when_saturated():
     d = Dinic(2)
     d.add_edge(0, 1, 2.0)
     d.max_flow(0, 1)
-    assert d.min_cut_source_side(0) == [0]
+    assert d.min_cut_source_side() == [0]
 
 
 def _brute_min_cut(n, edges, s, t):
@@ -130,7 +130,7 @@ def test_min_cut_source_side_is_valid_cut(seed):
         d.add_edge(int(u), int(v), c)
     flow = d.max_flow(0, n - 1)
     assert flow == _nx_max_flow(n, edges, 0, n - 1)
-    side = set(d.min_cut_source_side(0))
+    side = set(d.min_cut_source_side())
     assert 0 in side and (n - 1) not in side or flow == 0
     cap = sum(c for (u, v, c) in edges if u in side and v not in side)
     assert cap == pytest.approx(flow)
@@ -147,7 +147,7 @@ def test_from_arcs_lays_out_arcs_as_add_edge(seed):
     by_calls = Dinic(n)
     for u, v, c in zip(tail.tolist(), head.tolist(), caps):
         by_calls.add_edge(u, v, c)
-    by_arrays = Dinic.from_arcs(n, tail, head, [x for c in caps for x in (c, 0)])
+    by_arrays = Dinic.from_arcs(n, tail, head, caps, [0] * len(caps))
     assert (by_arrays.n, by_arrays.to, by_arrays.graph, by_arrays.cap) == (
         by_calls.n, by_calls.to, by_calls.graph, by_calls.cap
     )
@@ -158,6 +158,63 @@ def test_max_flow_adds_to_a_starting_flow():
     """s→a→t and s→t, capacity 5 each, starting from 3 units on s→a→t:
     ``max_flow`` returns the 7 it adds, and the cut is the same."""
     tail, head = np.array([0, 1, 0]), np.array([1, 2, 2])
-    d = Dinic.from_arcs(3, tail, head, [2, 3, 2, 3, 5, 0])
+    d = Dinic.from_arcs(3, tail, head, [5, 5, 5], [3, 3, 0])
     assert d.max_flow(0, 2) == 7
-    assert d.min_cut_source_side(0) == [0]
+    assert d.min_cut_source_side() == [0]
+
+
+def _residual_reach(d, s):
+    """Oracle: the nodes a depth-first search reaches from ``s`` over arcs
+    with residual capacity left."""
+    seen = [False] * d.n
+    seen[s] = True
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for k in d.graph[u]:
+            v = d.to[k]
+            if d.cap[k] > 0 and not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return [v for v, b in enumerate(seen) if b]
+
+
+def _random_arcs(rng, n, n_arcs):
+    tail, head = rng.integers(0, n, n_arcs), rng.integers(0, n, n_arcs)
+    keep = tail != head
+    return tail[keep], head[keep], rng.integers(0, 9, int(keep.sum())).tolist()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cut_is_the_residual_reach_after_add_edge(seed):
+    """After ``max_flow`` the cut is exactly what a fresh search of the
+    residual graph reaches from ``s``."""
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(3, 10))
+    d = Dinic(n)
+    for u, v, c in zip(*_random_arcs(rng, n, int(rng.integers(3, 30)))):
+        d.add_edge(int(u), int(v), c)
+    d.max_flow(0, n - 1)
+    assert d.min_cut_source_side() == _residual_reach(d, 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("start", ["partial", "maximum"])
+def test_cut_is_the_residual_reach_from_a_starting_flow(seed, start):
+    """The same from a feasible start flow: a maximum flow of the network
+    with capacities cut down at random, or a maximum flow of the network
+    itself, from which ``max_flow`` adds nothing and runs no phase."""
+    rng = np.random.default_rng(400 + seed)
+    n = int(rng.integers(3, 10))
+    tail, head, cap = _random_arcs(rng, n, int(rng.integers(3, 30)))
+    low = cap if start == "maximum" else [int(rng.integers(0, c + 1)) for c in cap]
+    pre = Dinic.from_arcs(n, tail, head, low, [0] * len(low))
+    pre_value = pre.max_flow(0, n - 1)
+    flow = pre.cap[1::2]  # a reverse residual holds its arc's flow
+    d = Dinic.from_arcs(n, tail, head, cap, flow)
+    full = Dinic.from_arcs(n, tail, head, cap, [0] * len(cap))
+    added = d.max_flow(0, n - 1)
+    assert pre_value + added == full.max_flow(0, n - 1)
+    if start == "maximum":
+        assert added == 0
+    assert d.min_cut_source_side() == _residual_reach(d, 0)

@@ -1,4 +1,5 @@
 """The exact algorithms against brute force and against each other."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from repro import datasets
 from repro.core import exact
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
+from repro.core.density import skewed2_frac
 from repro.core.exact import (
     _level,
     _thresholds,
@@ -179,10 +181,6 @@ def test_widen_factor_monotone_and_safe():
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_ratio_returns_fixed_ratio_optimum(seed):
     """Dinkelbach must find max skewed density for the given ratio."""
-    import itertools
-
-    from repro.core.density import skewed2_frac
-
     e = _random_tiny(seed + 300)
     i, j = 2, 1
     sol = solve_ratio(e, i, j, Fraction(0))
@@ -198,6 +196,43 @@ def test_solve_ratio_returns_fixed_ratio_optimum(seed):
                     best = max(best, skewed2_frac(m, ks, kt, i, j))
     assert sol is not None
     assert skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j) == best
+
+
+def _max_edges_by_size(e):
+    """``best[ks, kt]``: the most edges any pair with |S| = ks and |T| = kt
+    spans (for each S, the kt destinations it reaches most)."""
+    c = e.compact()
+    adj = np.zeros((c.src_ids.n, c.dst_ids.n), dtype=np.int64)
+    adj[c.src_ids.ids, c.dst_ids.ids] = 1
+    ns, nt = adj.shape
+    best = np.zeros((ns + 1, nt + 1), dtype=np.int64)
+    for ks in range(1, ns + 1):
+        for S in itertools.combinations(range(ns), ks):
+            top = np.cumsum(np.sort(adj[list(S)].sum(axis=0))[::-1])
+            np.maximum(best[ks, 1:], top, out=best[ks, 1:])
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (1, 3), (3, 2)])
+@pytest.mark.parametrize("prune_cores", [False, True])
+def test_solve_ratio_bound_at_each_probe_level(seed, i, j, prune_cores):
+    """At start levels 0, below, at and above F(a)'s μ, ``solve_ratio``
+    either returns an F(a)-argmax whose |E(S,T)| is the true count, or
+    None, and then F(a)² ≤ 4ij·λ₀², the bound a failed probe settles by."""
+    e = _random_tiny(seed + 500)
+    best = _max_edges_by_size(e)
+    sizes = [(ks, kt) for ks in range(1, best.shape[0]) for kt in range(1, best.shape[1])]
+    f2 = max(skewed2_frac(int(best[ks, kt]), ks, kt, i, j) for ks, kt in sizes)
+    mu = max(Fraction(int(best[ks, kt]), j * ks + i * kt) for ks, kt in sizes)
+    assert 4 * i * j * mu**2 == f2
+    for lam0 in (Fraction(0), mu / 2, mu * Fraction(99, 100), mu, mu * 3 / 2):
+        sol = solve_ratio(e, i, j, lam0, prune_cores=prune_cores)
+        if sol is None:
+            assert 4 * i * j * lam0**2 >= f2
+        else:
+            assert skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j) == f2
+            assert sol.edges_st == e.edges_between(sol.S, sol.T)
 
 
 def _repeated_edges():
