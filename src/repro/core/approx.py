@@ -168,11 +168,11 @@ def bs_approx(edges, *, eps: float = 0.5) -> DDSResult:
     ratio's best snapshot is kept as it is peeled, never replayed.
     """
     check_eps(eps)
+    edges = to_driver(edges)
     ns, nt, m = counts = engine_for(edges).counts(edges)
     stats = {"ratios": 0, "eps": eps, "peel_rounds": 0}
     if m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
-    edges = to_driver(edges, m)
     check_no_duplicates(edges)
     grid = geometric_grid(1.0 / nt, float(ns), eps)
     best, best_rho2 = edges, rho2_frac(m, ns, nt)

@@ -252,11 +252,11 @@ def core_exact(edges) -> DDSResult:
         "cuts": 0, "max_flow_nodes": 0, "core_sizes": [],  # also when no ratio is solved
         "approx_rho": 0.0, "approx_core_probes": 0,
     }
-    ns, nt, m = engine_for(edges).counts(edges)
+    edges = to_driver(edges)
+    eng = engine_for(edges)
+    ns, nt, m = eng.counts(edges)
     if m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
-    edges = to_driver(edges, m)
-    eng = engine_for(edges)
     approx = core_approx(edges)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
     stats["approx_core_probes"] = approx.stats.get("core_probes")

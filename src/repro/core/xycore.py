@@ -17,7 +17,9 @@ within the budget is collected to the driver once and finished in
 numpy; from then on it stays an ``EdgeArrays``. A Spark round costs
 ~0.4 s of job latency however few edges it touches, while a numpy round
 over the whole budget costs less than that. BS-Approx's peel
-(``repro.core.approx``) follows the same rule.
+(``repro.core.approx``) follows the same rule. Each handoff is one Spark
+job: on entry (``to_driver``) a bounded collect, with no count before it;
+inside a fixpoint or peel, a collect on the count the round already made.
 
 The module also implements the search used by Core-Approx:
 ``y_max(x)`` (the largest y with nonempty [x,y]-core) is non-increasing
@@ -159,13 +161,20 @@ def to_local(state) -> EdgeArrays:
 
 def to_driver(edges, m: int | None = None):
     """``edges`` collected to the driver if it is a DataFrame of at most
-    ``DRIVER_EDGE_BUDGET`` edges (``m``, when the caller has counted
-    them), else unchanged: the once-on-entry form of the handoff rule."""
+    ``DRIVER_EDGE_BUDGET`` edges, else unchanged: the once-on-entry form of
+    the handoff rule, one Spark job either way.
+
+    Uncounted (``m`` None), it collects at most ``DRIVER_EDGE_BUDGET + 1``
+    rows; when no more than the budget arrives, that is the whole edge set.
+    Above the budget the head is discarded, which costs more than a count
+    but is paid once per entry. A caller that has counted passes ``m``.
+    """
     if isinstance(edges, EdgeArrays):
         return edges
-    if m is None:
-        m = DataFrameEngine().m(edges)
-    return collect_edges(edges) if m <= DRIVER_EDGE_BUDGET else edges
+    if m is not None:
+        return collect_edges(edges) if m <= DRIVER_EDGE_BUDGET else edges
+    head = collect_edges(edges, DRIVER_EDGE_BUDGET + 1)
+    return head if head.m <= DRIVER_EDGE_BUDGET else edges
 
 
 def xy_core(edges, x: int, y: int):

@@ -168,9 +168,11 @@ def check_no_duplicates(edges) -> None:
         raise ValueError("duplicate (src, dst) edges; remove them with dedup()")
 
 
-def collect_edges(edges: DataFrame) -> EdgeArrays:
-    """Mirror an edge DataFrame to the driver (Arrow path via toPandas)."""
-    pdf = edges.select(SRC, DST).toPandas()
+def collect_edges(edges: DataFrame, limit: int | None = None) -> EdgeArrays:
+    """Mirror an edge DataFrame to the driver (Arrow path via toPandas);
+    with ``limit``, only its first ``limit`` rows, in the same Spark job."""
+    df = edges.select(SRC, DST)
+    pdf = (df if limit is None else df.limit(limit)).toPandas()
     return EdgeArrays(
         pdf[SRC].to_numpy(dtype=np.int64), pdf[DST].to_numpy(dtype=np.int64)
     )

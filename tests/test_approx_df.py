@@ -1,4 +1,7 @@
-"""The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs."""
+"""The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs,
+and the entry handoff: how many Spark jobs and collects reach the driver."""
+import uuid
+
 import numpy as np
 import pytest
 
@@ -6,12 +9,34 @@ from repro.core import xycore
 from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
 from repro.graph import generators as gen
+from repro.graph.local import EdgeArrays, empty_edges
+
+ALGOS = [core_approx, bs_approx, core_exact]
 
 
 @pytest.fixture(scope="module")
 def graph_pair(spark):
     e = gen.powerlaw_directed(50, 250, seed=19)
     return e, gen.to_spark(spark, e).cache()
+
+
+@pytest.fixture
+def spark_jobs(spark):
+    """``spark_jobs(fn, *args)`` runs ``fn(*args)`` in a Spark job group of
+    its own and returns its result and the number of jobs the group ran."""
+    sc = spark.sparkContext
+
+    def run(fn, *args):
+        group = f"spark-jobs-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            out = fn(*args)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job starts reach the tracker
+        return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return run
 
 
 def test_core_approx_df_parity(spark, graph_pair):
@@ -58,6 +83,55 @@ def test_bs_approx_small_df_collects_once(spark, graph_pair, count_calls):
     collects = count_calls(xycore, "collect_edges")
     assert bs_approx(df).rho2 == bs_approx(local).rho2
     assert collects[0] == 1
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_small_df_entry_is_one_spark_job(spark, graph_pair, count_calls, spark_jobs, algo):
+    """A DataFrame within the driver budget reaches the driver in one Spark
+    job, its one bounded collect: no count or aggregation runs before it."""
+    local, df = graph_pair
+    df.count()  # fill the cache outside the measured call
+    collects = count_calls(xycore, "collect_edges")
+    r, jobs = spark_jobs(algo, df)
+    assert (jobs, collects[0]) == (1, 1)
+    assert r.rho2 == algo(local).rho2
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_driver_budget_boundary(spark, monkeypatch, df_rounds, algo):
+    """Budget m: the input is collected on entry and no Spark round runs.
+    Budget m − 1: it stays on Spark, and the answer and stats are the same."""
+    local = gen.er_directed(10, 30, seed=5)
+    df = gen.to_spark(spark, local).cache()
+
+    def run(budget):
+        monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", budget)
+        before = df_rounds[0]
+        entered = xycore.to_driver(df)
+        return entered, algo(df), df_rounds[0] - before
+
+    entered, at_m, rounds = run(local.m)
+    assert isinstance(entered, EdgeArrays) and entered.m == local.m
+    assert rounds == 0
+    entered, below_m, rounds = run(local.m - 1)
+    assert entered is df
+    assert rounds >= 1
+    assert at_m.rho2 == below_m.rho2 == algo(local).rho2
+    assert at_m.S.tolist() == below_m.S.tolist()
+    assert at_m.T.tolist() == below_m.T.tolist()
+    assert at_m.stats == below_m.stats
+
+
+@pytest.mark.parametrize("budget", [xycore.DRIVER_EDGE_BUDGET, 0])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_df_empty_entry(spark, monkeypatch, algo, budget):
+    """An empty DataFrame, collected on entry even at budget 0, reports the
+    stats keys of the empty EdgeArrays run."""
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", budget)
+    df = gen.to_spark(spark, gen.er_directed(5, 3, seed=1)).filter("src < 0")
+    r = algo(df)
+    assert r.rho == 0.0
+    assert r.stats.keys() == algo(empty_edges()).stats.keys()
 
 
 def test_bs_approx_df_empty(spark):
