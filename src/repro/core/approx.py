@@ -39,9 +39,14 @@ from repro.core.xycore import degree_round, engine_for, max_xy_core, to_driver, 
 from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
 
 
-def core_approx(edges) -> DDSResult:
-    """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
-    core = max_xy_core(edges)  # rejects duplicate edges
+def core_approx(edges, m: int | None = None) -> DDSResult:
+    """The paper's 2-approximation: the max-x·y nonempty [x,y]-core.
+
+    A caller that has already entered and counted ``edges`` (Core-Exact)
+    passes its edge count ``m``, so a DataFrame above the driver budget is
+    not headed a second time.
+    """
+    core = max_xy_core(edges, m)  # rejects duplicate edges
     stats = dict(core.stats)
     stats.update({"x": core.x, "y": core.y, "xy": core.x * core.y})
     return DDSResult.of_edges(core.edges, stats)

@@ -45,7 +45,7 @@ from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
 from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
 from repro.flow.network import network_nodes, solve_level
-from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
+from repro.graph.local import EdgeArrays, check_no_duplicates, collect_vertices, empty_edges
 
 _ROOT_DIGITS = 2**64  # resolution of a value rounded down from an irrational root
 _PROBE_DELTA = Fraction(1, 5)  # δ: Core-Exact probes each ratio at ρ_best·(1−δ)
@@ -226,8 +226,10 @@ def core_exact(edges) -> DDSResult:
     ``edges`` may be an EdgeArrays or an edge DataFrame. A DataFrame
     within ``DRIVER_EDGE_BUDGET`` edges is collected to the driver once on
     entry, and everything after runs locally. A larger one stays on Spark:
+    its entry head is collected once (Core-Approx gets the counted state),
     each core probe runs Catalyst rounds until its core is within the
-    budget, and only that core is collected for flow.
+    budget, and only that core is collected for flow. If the full pair
+    wins, only its distinct vertices are collected.
 
     Each ratio a = i/j is probed at the μ-level λ of ρ_a = ρ_best·(1−δ),
     δ = ``_PROBE_DELTA``, rounded down to a Fraction (`_level`). Every
@@ -257,14 +259,18 @@ def core_exact(edges) -> DDSResult:
     ns, nt, m = eng.counts(edges)
     if m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
-    approx = core_approx(edges)  # rejects duplicate edges
+    approx = core_approx(edges, m)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
     stats["approx_core_probes"] = approx.stats.get("core_probes")
     best: DDSResult = approx
-    # the trivial full pair can beat the max-xy core on near-regular graphs
+    # the trivial full pair can beat the max-xy core on near-regular graphs;
+    # a DataFrame hands over its vertices for it, never its edges
     full_rho2 = Fraction(m * m, ns * nt)
     if full_rho2 > best.rho2:
-        best = DDSResult.of_edges(to_local(edges), {})
+        if isinstance(edges, EdgeArrays):
+            best = DDSResult.of_edges(edges, {})
+        else:
+            best = DDSResult(*collect_vertices(edges), m)
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
         """Probe/solve ratio a; returns the settled closed ratio interval."""

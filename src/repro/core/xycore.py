@@ -20,6 +20,9 @@ over the whole budget costs less than that. BS-Approx's peel
 (``repro.core.approx``) follows the same rule. Each handoff is one Spark
 job: on entry (``to_driver``) a bounded collect, with no count before it;
 inside a fixpoint or peel, a collect on the count the round already made.
+Every handoff is ``collect_edges`` (``repro.graph.local``), which reads in
+one task wave and converts from Arrow straight to numpy. An algorithm
+enters once: Core-Exact hands Core-Approx the state it entered and counted.
 
 The module also implements the search used by Core-Approx:
 ``y_max(x)`` (the largest y with nonempty [x,y]-core) is non-increasing
@@ -233,7 +236,7 @@ def _y_max(edges, x: int, eng: LocalEngine, st: dict):
     return lo, lo_core, base
 
 
-def max_xy_core(edges) -> XYCoreResult:
+def max_xy_core(edges, m: int | None = None) -> XYCoreResult:
     """The nonempty [x,y]-core maximizing x·y (exact, branch-and-bound).
 
     Correctness of the skip rule: ``y_max`` is non-increasing, so for any
@@ -246,9 +249,10 @@ def max_xy_core(edges) -> XYCoreResult:
     maximal core of any superset of it is itself), so each x is searched
     from the [x',1]-core of the largest evaluated x' < x, not the full
     graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
-    once on entry; duplicate edges are rejected once on the driver.
+    once on entry (``to_driver``; a caller that has counted passes ``m``);
+    duplicate edges are rejected once on the driver.
     """
-    edges = to_driver(edges)
+    edges = to_driver(edges, m)
     check_no_duplicates(edges)
     eng = engine_for(edges)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}

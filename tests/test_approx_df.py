@@ -1,11 +1,12 @@
 """The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs,
 and the entry handoff: how many Spark jobs and collects reach the driver."""
 import uuid
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.core import xycore
+from repro.core import exact, xycore
 from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
 from repro.graph import generators as gen
@@ -138,6 +139,60 @@ def test_bs_approx_df_empty(spark):
     df = gen.to_spark(spark, gen.er_directed(5, 3, seed=1)).filter("src < 0")
     r = bs_approx(df)
     assert r.rho == 0.0
+
+
+@pytest.fixture
+def collects(monkeypatch):
+    """Every ``collect_edges`` call of one test: (DataFrame, limit, rows returned)."""
+    log = []
+    fn = xycore.collect_edges
+
+    def logged(edges, limit=None):
+        out = fn(edges, limit)
+        log.append((edges, limit, out.m))
+        return out
+
+    monkeypatch.setattr(xycore, "collect_edges", logged)
+    return log
+
+
+def test_core_exact_heads_once_above_budget(spark, monkeypatch, collects):
+    """Above the budget, Core-Exact collects one bounded head on entry and
+    hands Core-Approx the state it has entered, not the input again."""
+    local = gen.er_directed(10, 30, seed=5)
+    df = gen.to_spark(spark, local).cache()
+    want = core_exact(local)
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m - 1)
+    got = core_exact(df)
+    assert [limit for _, limit, _ in collects if limit is not None] == [local.m]
+    assert got.rho2 == want.rho2
+    assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
+
+
+def test_core_exact_full_pair_collects_vertices_only(spark, monkeypatch, collects):
+    """When the full pair beats Core-Approx above the budget, its S and T
+    are the input's distinct vertices: n_src + n_dst rows. The input itself
+    is collected only as the bounded entry head (a probe core may still
+    span every edge, and is collected for its flow network)."""
+    local = gen.er_directed(8, 30, seed=2)
+    assert Fraction(local.m**2, local.n_src * local.n_dst) > core_approx(local).rho2
+    df = gen.to_spark(spark, local).cache()
+    want = core_exact(local)
+    vertex_rows = []
+    fn = exact.collect_vertices
+
+    def logged(edges):
+        s, t = fn(edges)
+        vertex_rows.append(len(s) + len(t))
+        return s, t
+
+    monkeypatch.setattr(exact, "collect_vertices", logged)
+    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m - 1)
+    got = core_exact(df)
+    assert vertex_rows == [local.n_src + local.n_dst]
+    assert [limit for edges, limit, _ in collects if edges is df] == [local.m]
+    assert got.rho2 == want.rho2
+    assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
 
 
 def test_core_exact_df_parity(spark, graph_pair):
