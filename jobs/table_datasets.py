@@ -11,7 +11,7 @@ import argparse
 from _util import get_spark, print_table
 
 from repro import datasets
-from repro.core.xycore import max_xy_core
+from repro.core.approx import core_approx
 from repro.graph.local import collect_edges
 
 DEFAULT = ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-er", "m-pl", "m-plant", "l-pl"]
@@ -24,7 +24,7 @@ def run(spark, names: list[str]) -> list[dict]:
             e = collect_edges(datasets.load_spark(name, spark))
         else:
             e = datasets.load_local(name)
-        core = max_xy_core(e)
+        core = core_approx(e).stats
         rows.append(
             {
                 "dataset": name,
@@ -33,9 +33,9 @@ def run(spark, names: list[str]) -> list[dict]:
                 "m": e.m,
                 "d_out_max": e.out_degree_max(),
                 "d_in_max": e.in_degree_max(),
-                "core_x": core.x,
-                "core_y": core.y,
-                "sqrt_xy": round((core.x * core.y) ** 0.5, 3),
+                "core_x": core["x"],
+                "core_y": core["y"],
+                "sqrt_xy": round(core["xy"] ** 0.5, 3),
             }
         )
     return rows

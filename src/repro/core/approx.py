@@ -4,6 +4,8 @@
   [x,y]-core maximizing x·y. Guarantee (DESIGN.md §2): that core has
   ρ ≥ sqrt(xy) ≥ ρ_opt/2 — a deterministic 2-approximation whose cost
   is a handful of core fixpoints instead of any flow or ratio sweep.
+  ``y_max(x)`` is non-increasing in x, so its branch-and-bound over x
+  never decomposes a core that provably cannot win.
 
 - ``ks_approx`` — baseline: exact greedy peeling (Charikar-style,
   adapted to the directed objective per Khuller–Saha) for every ratio in
@@ -35,21 +37,67 @@ import numpy as np
 from repro.core.density import rho2_frac
 from repro.core.ratios import check_eps, geometric_grid
 from repro.core.result import DDSResult
-from repro.core.xycore import degree_round, engine_for, max_xy_core, to_driver, to_local
+from repro.core.xycore import degree_round, engine_for, to_driver, to_local, y_max_for_x
 from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
 
 
 def core_approx(edges, m: int | None = None) -> DDSResult:
-    """The paper's 2-approximation: the max-x·y nonempty [x,y]-core.
+    """The paper's 2-approximation: the nonempty [x,y]-core maximizing
+    x·y, found exactly by branch-and-bound.
 
-    A caller that has already entered and counted ``edges`` (Core-Exact)
-    passes its edge count ``m``, so a DataFrame above the driver budget is
-    not headed a second time.
+    Correctness of the skip rule: ``y_max`` is non-increasing, so for any
+    x' ≥ x_eval, ``x'·y_max(x') ≤ x'·y_max(x_eval)``; an x' is only
+    skipped when that bound cannot beat the best product found. Geometric
+    seeding (x = 1,2,4,…) establishes a good incumbent early so the
+    ascending scan skips almost everything on skewed graphs.
+
+    The [x,1]-cores nest ([x,1]-core ⊆ [x',1]-core for x' < x, and the
+    maximal core of any superset of it is itself), so each x is searched
+    from the [x',1]-core of the largest evaluated x' < x, not the full
+    graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
+    once on entry (``to_driver``); a caller that has already entered and
+    counted ``edges`` (Core-Exact) passes its edge count ``m``, so a
+    DataFrame above the budget is not headed a second time. Duplicate
+    edges are rejected once on the driver.
     """
-    core = max_xy_core(edges, m)  # rejects duplicate edges
-    stats = dict(core.stats)
-    stats.update({"x": core.x, "y": core.y, "xy": core.x * core.y})
-    return DDSResult.of_edges(core.edges, stats)
+    edges = to_driver(edges, m)
+    check_no_duplicates(edges)
+    eng = engine_for(edges)
+    stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
+    x_ub = eng.max_out_degree(edges)
+    best = (0, 0, empty_edges())  # (x, y, core); x = 1 replaces it: y_max(1) ≥ 1
+    ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
+    bases: dict = {}  # evaluated x -> its [x,1]-core (engine state)
+
+    def evaluate(x: int, start) -> int:
+        nonlocal best
+        y, core, bases[x] = y_max_for_x(start, x, eng, stats)
+        stats["x_evaluated"] += 1
+        ymax_at[x] = y
+        if x * y > best[0] * best[1]:
+            best = (x, y, to_local(core))
+        return y
+
+    # geometric seeding
+    x, start = 1, edges
+    while x <= x_ub and evaluate(x, start) > 0:
+        start = bases[x]
+        x *= 2
+    # ascending scan with monotone-bound skip; prev is the largest
+    # evaluated x' < x, whose y_max bounds y_max(x) and whose core holds x's
+    prev = 1
+    for x in range(2, x_ub + 1):
+        if x in ymax_at:
+            prev = x
+        elif x * ymax_at[prev] <= best[0] * best[1]:
+            stats["x_skipped"] += 1
+        elif evaluate(x, bases.pop(prev)) == 0:
+            break
+        else:
+            prev = x
+    x, y, core = best
+    stats.update({"x": x, "y": y, "xy": x * y})
+    return DDSResult.of_edges(core, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,12 @@ def core_exact(edges) -> DDSResult:
     within ``DRIVER_EDGE_BUDGET`` edges is collected to the driver once on
     entry, and everything after runs locally. A larger one stays on Spark:
     its entry head is collected once (Core-Approx gets the counted state),
-    each core probe runs Catalyst rounds until its core is within the
-    budget, and only that core is collected for flow. If the full pair
-    wins, only its distinct vertices are collected.
+    and each core probe runs Catalyst rounds until its core is within the
+    budget or reaches its fixpoint. Max-flow runs only on the driver, so
+    every nonempty probe core is then collected for flow, whatever its
+    size: one whose Spark fixpoint ends above the budget is collected
+    whole, the full edge set when the probe prunes no edge. If the full
+    pair wins, only its distinct vertices are collected.
 
     Each ratio a = i/j is probed at the μ-level λ of ρ_a = ρ_best·(1−δ),
     δ = ``_PROBE_DELTA``, rounded down to a Fraction (`_level`). Every
@@ -261,7 +264,7 @@ def core_exact(edges) -> DDSResult:
         return DDSResult.of_edges(empty_edges(), stats)
     approx = core_approx(edges, m)  # rejects duplicate edges
     stats["approx_rho"] = approx.rho
-    stats["approx_core_probes"] = approx.stats.get("core_probes")
+    stats["approx_core_probes"] = approx.stats["core_probes"]
     best: DDSResult = approx
     # the trivial full pair can beat the max-xy core on near-regular graphs;
     # a DataFrame hands over its vertices for it, never its edges

@@ -1,4 +1,4 @@
-"""[x,y]-cores: fixpoint computation and the max-``x·y`` core search.
+"""[x,y]-cores: the fixpoint and the ``y_max(x)`` search over it.
 
 Definition (paper): the ``[x,y]``-core of a directed graph is the
 *largest* pair ``(S,T)`` such that every ``u ∈ S`` has ≥ x out-edges
@@ -24,20 +24,16 @@ Every handoff is ``collect_edges`` (``repro.graph.local``), which reads in
 one task wave and converts from Arrow straight to numpy. An algorithm
 enters once: Core-Exact hands Core-Approx the state it entered and counted.
 
-The module also implements the search used by Core-Approx:
-``y_max(x)`` (the largest y with nonempty [x,y]-core) is non-increasing
-in x, so the exact maximizer of ``x·y_max(x)`` is found by an ascending
-scan with a monotone upper-bound skip (branch-and-bound) after geometric
-seeding — no core is ever decomposed that provably cannot win.
+The module also implements the step Core-Approx (``repro.core.approx``)
+repeats for each x it evaluates: ``y_max_for_x``, the largest y with a
+nonempty [x,y]-core, by binary search over nested cores.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from pyspark.sql import functions as F
 
 from repro.graph.degrees import in_degrees, out_degrees
-from repro.graph.local import EdgeArrays, check_no_duplicates, collect_edges, empty_edges
+from repro.graph.local import EdgeArrays, collect_edges
 from repro.graph.schema import DST, SRC
 
 # Largest edge set worked on at the driver: 1M int64 (src, dst) pairs are
@@ -180,47 +176,23 @@ def to_driver(edges, m: int | None = None):
     return head if head.m <= DRIVER_EDGE_BUDGET else edges
 
 
-def xy_core(edges, x: int, y: int):
-    """The [x,y]-core of ``edges`` (EdgeArrays or DataFrame).
-
-    An ``EdgeArrays`` input gives an ``EdgeArrays`` core. A DataFrame input
-    gives a DataFrame when its Spark rounds reach the fixpoint, or the empty
-    core, with the state still above ``DRIVER_EDGE_BUDGET``; a nonempty
-    state within the budget is collected and its core is an ``EdgeArrays``.
-    """
-    return engine_for(edges).core(edges, x, y)
-
-
 # ---------------------------------------------------------------------------
-# y_max(x) frontier and the max-x·y core
+# y_max(x): the largest y with a nonempty [x,y]-core
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class XYCoreResult:
-    """A located core: parameters, its edge set (local), and search stats."""
-
-    x: int
-    y: int
-    edges: EdgeArrays
-    stats: dict
-
-
-def y_max_for_x(edges, x: int):
-    """Largest y with nonempty [x,y]-core, plus that core (engine state).
+def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict):
+    """Largest y with nonempty [x,y]-core, that core, and the [x,1]-core
+    it was searched in (engine states); each core probe adds one to
+    ``st["core_probes"]``.
 
     Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``;
     every probe runs inside the previously found nonempty core, so probes
-    get cheaper as y grows. Returns ``(0, empty)`` when even [x,1] is empty.
+    get cheaper as y grows. Returns ``(0, empty, empty)`` when even [x,1]
+    is empty.
     """
-    y, core, _ = _y_max(edges, x, engine_for(edges), {})
-    return y, core
-
-
-def _y_max(edges, x: int, eng: LocalEngine, st: dict):
-    """``y_max_for_x``, also returning the [x,1]-core it searched in."""
     base = eng.core(edges, x, 1)
-    st["core_probes"] = st.get("core_probes", 0) + 1
+    st["core_probes"] += 1
     if eng.m(base) == 0:
         return 0, base, base
     lo, lo_core = 1, base  # invariant: [x,lo]-core nonempty, held in lo_core
@@ -228,63 +200,9 @@ def _y_max(edges, x: int, eng: LocalEngine, st: dict):
     while lo < hi:
         mid = (lo + hi + 1) // 2
         probe = eng.core(lo_core, x, mid)
-        st["core_probes"] = st.get("core_probes", 0) + 1
+        st["core_probes"] += 1
         if eng.m(probe) == 0:
             hi = mid - 1
         else:
             lo, lo_core = mid, probe
     return lo, lo_core, base
-
-
-def max_xy_core(edges, m: int | None = None) -> XYCoreResult:
-    """The nonempty [x,y]-core maximizing x·y (exact, branch-and-bound).
-
-    Correctness of the skip rule: ``y_max`` is non-increasing, so for any
-    x' ≥ x_eval, ``x'·y_max(x') ≤ x'·y_max(x_eval)``; an x' is only
-    skipped when that bound cannot beat the best product found. Geometric
-    seeding (x = 1,2,4,…) establishes a good incumbent early so the
-    ascending scan skips almost everything on skewed graphs.
-
-    The [x,1]-cores nest ([x,1]-core ⊆ [x',1]-core for x' < x, and the
-    maximal core of any superset of it is itself), so each x is searched
-    from the [x',1]-core of the largest evaluated x' < x, not the full
-    graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
-    once on entry (``to_driver``; a caller that has counted passes ``m``);
-    duplicate edges are rejected once on the driver.
-    """
-    edges = to_driver(edges, m)
-    check_no_duplicates(edges)
-    eng = engine_for(edges)
-    stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
-    x_ub = eng.max_out_degree(edges)
-    best = XYCoreResult(0, 0, empty_edges(), stats)  # x = 1 replaces it: y_max(1) ≥ 1
-    ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
-    bases: dict = {}  # evaluated x -> its [x,1]-core (engine state)
-
-    def evaluate(x: int, start) -> int:
-        nonlocal best
-        y, core, bases[x] = _y_max(start, x, eng, stats)
-        stats["x_evaluated"] += 1
-        ymax_at[x] = y
-        if x * y > best.x * best.y:
-            best = XYCoreResult(x, y, to_local(core), stats)
-        return y
-
-    # geometric seeding
-    x, start = 1, edges
-    while x <= x_ub and evaluate(x, start) > 0:
-        start = bases[x]
-        x *= 2
-    # ascending scan with monotone-bound skip; prev is the largest
-    # evaluated x' < x, whose y_max bounds y_max(x) and whose core holds x's
-    prev = 1
-    for x in range(2, x_ub + 1):
-        if x in ymax_at:
-            prev = x
-        elif x * ymax_at[prev] <= best.x * best.y:
-            stats["x_skipped"] += 1
-        elif evaluate(x, bases.pop(prev)) == 0:
-            break
-        else:
-            prev = x
-    return best

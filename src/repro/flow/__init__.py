@@ -5,7 +5,9 @@ The paper's exact algorithms repeatedly solve a minimum st-cut on a
 is available offline, so this subpackage implements one from scratch:
 
 - :mod:`repro.flow.dinic` — Dinic's blocking-flow algorithm on integer
-  capacities with an s-side min-cut extractor.
+  capacities with an s-side min-cut extractor. Its one constructor,
+  ``Dinic(n, tail, head, cap, flow)``, takes the arcs as parallel
+  groups with a feasible start flow and lays out the residuals.
 - :mod:`repro.flow.network` — the vertex-only DDS decision network for a
   fixed ratio ``a = i/j`` and rational level ``λ``.
 """

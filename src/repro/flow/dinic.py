@@ -8,8 +8,8 @@ Capacities are non-negative integers (the DDS network scales a rational
 density level to integers), so every residual comparison is an exact
 ``cap > 0`` and the flow value is exact: there is no epsilon.
 
-A network may start from a feasible flow: ``from_arcs`` takes one capacity
-and one start flow per arc and lays out the residuals itself, and
+A network may start from a feasible flow: the constructor takes one
+capacity and one start flow per arc and lays out the residuals itself, and
 ``max_flow`` then returns only the amount it adds. Within a phase the
 depth-first search keeps its path: after pushing along it, it retreats to
 the tail of the first arc the push saturated rather than restarting from
@@ -29,50 +29,30 @@ import numpy as np
 class Dinic:
     """Max-flow on a directed network with ``n`` nodes.
 
-    Edges are stored in flat parallel lists (``to``, ``cap``) where edge
-    ``k`` and its reverse ``k^1`` are adjacent — the usual competitive-
-    programming layout, chosen because Python object graphs are slow.
+    Arcs are stored in flat parallel lists (``to``, ``cap``): arc ``k``
+    of the input has id ``2k`` (``tail[k]→head[k]``) and its residual twin
+    id ``2k+1`` (``head[k]→tail[k]``), so an arc id's twin is ``id^1`` — the
+    usual competitive-programming layout, chosen because Python object
+    graphs are slow. ``graph[u]`` lists the ids of the arcs leaving ``u``
+    in ascending order.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.graph: list[list[int]] = [[] for _ in range(n)]  # node -> edge ids
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    @classmethod
-    def from_arcs(
-        cls, n: int, tail: np.ndarray, head: np.ndarray, cap: list[int], flow: list[int]
-    ) -> "Dinic":
+    def __init__(
+        self, n: int, tail: np.ndarray, head: np.ndarray, cap: list[int], flow: list[int]
+    ) -> None:
         """The network with arcs ``tail[k]→head[k]`` of capacity ``cap[k]``,
-        numbered and listed per node as ``add_edge`` in order of ``k`` would,
-        carrying the feasible flow ``flow[k]`` (all zeros for no flow).
-        """
-        net = cls(n)
+        carrying the feasible flow ``flow[k]`` (all zeros for no flow)."""
+        self.n = n
         ends = np.empty(2 * len(tail), dtype=np.int64)
         ends[0::2], ends[1::2] = tail, head  # arc 2k leaves tail[k], its twin head[k]
         order = np.argsort(ends, kind="stable").tolist()
         bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-        net.graph = [order[a:b] for a, b in zip([0, *bounds], bounds)]
+        self.graph = [order[a:b] for a, b in zip([0, *bounds], bounds)]  # node -> arc ids
         ends[0::2], ends[1::2] = head, tail
-        net.to = ends.tolist()
-        net.cap = [0] * len(ends)  # forward residual cap − flow, then reverse flow
-        net.cap[0::2] = [c - f for c, f in zip(cap, flow)]
-        net.cap[1::2] = flow
-        return net
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add a directed edge u→v with capacity ``cap``; returns its id."""
-        if cap < 0:
-            raise ValueError(f"negative capacity {cap!r} on edge {u}->{v}")
-        k = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.graph[u].append(k)
-        self.to.append(u)
-        self.cap.append(0)
-        self.graph[v].append(k + 1)
-        return k
+        self.to: list[int] = ends.tolist()
+        self.cap: list[int] = [0] * len(ends)  # forward residual cap − flow, then reverse flow
+        self.cap[0::2] = [c - f for c, f in zip(cap, flow)]
+        self.cap[1::2] = flow
 
     # -- internals ---------------------------------------------------------
     def _bfs(self, s: int, t: int) -> bool:

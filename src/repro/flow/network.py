@@ -23,7 +23,7 @@ so the cut value and ``h`` are exact.
 The network is built on an ``EdgeArrays``: its compacted dense ids
 (``EdgeArrays.compact``) number the nodes in sorted label order, and its
 ``degrees()`` give the source capacities, so this module derives no ids
-of its own. The arcs go to ``Dinic.from_arcs`` in four plain groups,
+of its own. The arcs go to the ``Dinic`` constructor in four plain groups,
 s→u_out, u_out→t, v_in→t and u_out→v_in, each with its capacity and start
 flow; Dinic lays out the residuals.
 
@@ -128,7 +128,7 @@ def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwor
     head = np.concatenate([u_nodes, np.ones(ns + nt, dtype=np.int64), t.ids + (2 + ns)])
     cap = [q * d for d in s.degrees().tolist()] + [pj] * ns + [pi] * nt + [q] * e.m
     flow = sent + [pj - r for r in u_room] + [pi - r for r in v_room] + through
-    net = Dinic.from_arcs(network_nodes(ns, nt), tail, head, cap, flow)
+    net = Dinic(network_nodes(ns, nt), tail, head, cap, flow)
     return DDSNetwork(net, s.labels, t.labels, e.m, q, sum(sent))
 
 
@@ -136,6 +136,4 @@ def solve_level(
     e: EdgeArrays, i: int, j: int, lam: Fraction
 ) -> tuple[Fraction, np.ndarray, np.ndarray]:
     """One-shot: build the network and return ``(h, S, T)`` at level ``lam``."""
-    if e.m == 0:
-        return Fraction(0), np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     return build_dds_network(e, i, j, lam).solve()

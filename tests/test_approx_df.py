@@ -9,10 +9,15 @@ import pytest
 from repro.core import exact, xycore
 from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
+from repro.core.xycore import LocalEngine
 from repro.graph import generators as gen
 from repro.graph.local import EdgeArrays, empty_edges
 
 ALGOS = [core_approx, bs_approx, core_exact]
+
+
+def pairs(e: EdgeArrays) -> list[tuple[int, int]]:
+    return sorted(zip(e.src.tolist(), e.dst.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +148,13 @@ def test_bs_approx_df_empty(spark):
 
 @pytest.fixture
 def collects(monkeypatch):
-    """Every ``collect_edges`` call of one test: (DataFrame, limit, rows returned)."""
+    """Every ``collect_edges`` call of one test: (DataFrame, limit, EdgeArrays returned)."""
     log = []
     fn = xycore.collect_edges
 
     def logged(edges, limit=None):
         out = fn(edges, limit)
-        log.append((edges, limit, out.m))
+        log.append((edges, limit, out))
         return out
 
     monkeypatch.setattr(xycore, "collect_edges", logged)
@@ -193,6 +198,34 @@ def test_core_exact_full_pair_collects_vertices_only(spark, monkeypatch, collect
     assert [limit for edges, limit, _ in collects if edges is df] == [local.m]
     assert got.rho2 == want.rho2
     assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
+
+
+def test_core_exact_collects_probe_cores_above_budget(spark, spark_only, monkeypatch, collects):
+    """Flow runs only on the driver, so with every round on Spark each
+    nonempty probe core is collected whole, whatever its size. Each
+    unbounded collect returns exactly the rows of a core the Spark fixpoint
+    returned, which is the input's [x,y]-core; pruning makes some of them
+    smaller than the input, and the answer is the local run's."""
+    local = gen.er_directed(10, 30, seed=5)
+    df = gen.to_spark(spark, local).cache()
+    want = core_exact(local)
+    cores = []  # (DataFrame core returned, the local [x,y]-core)
+    fn = xycore.DataFrameEngine.core
+
+    def logged(self, state, x, y):
+        out = fn(self, state, x, y)
+        cores.append((out, LocalEngine().core(local, x, y)))
+        return out
+
+    monkeypatch.setattr(xycore.DataFrameEngine, "core", logged)
+    got = core_exact(df)
+    whole = [(edges, out) for edges, limit, out in collects if limit is None]
+    assert whole
+    for edges, out in whole:
+        twin = next(c for d, c in cores if d is edges)
+        assert pairs(out) == sorted(map(tuple, edges.collect())) == pairs(twin)
+    assert min(out.m for _, out in whole) < local.m
+    assert (got.rho2, got.S.tolist(), got.T.tolist()) == (want.rho2, want.S.tolist(), want.T.tolist())
 
 
 def test_core_exact_df_parity(spark, graph_pair):

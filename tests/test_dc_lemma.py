@@ -14,7 +14,8 @@ from repro.core.bruteforce import brute_force_dds
 from repro.core.density import rho2_frac, skewed2_frac
 from repro.core.exact import _settle_interval, solve_ratio
 from repro.core.ratios import all_candidate_ratios
-from repro.core.xycore import max_xy_core, xy_core
+from repro.core.approx import core_approx
+from repro.core.xycore import LocalEngine
 from repro.graph.local import EdgeArrays
 
 
@@ -125,7 +126,7 @@ def test_dds_contained_in_its_core(seed):
     a = len(opt.S) / len(opt.T)
     x = max(1, ceil(opt.rho / (2 * sqrt(a)) - 1e-9))
     y = max(1, ceil(opt.rho * sqrt(a) / 2 - 1e-9))
-    core = xy_core(e, x, y)
+    core = LocalEngine().core(e, x, y)
     assert set(opt.S.tolist()) <= set(core.src.tolist())
     assert set(opt.T.tolist()) <= set(core.dst.tolist())
 
@@ -135,8 +136,7 @@ def test_max_xy_core_is_2_approximation(seed):
     """sqrt(max xy) >= rho_opt / 2 — the Core-Approx guarantee."""
     e = _random_tiny(seed + 160)
     opt = brute_force_dds(e)
-    best = max_xy_core(e)
-    assert (best.x * best.y) ** 0.5 >= opt.rho / 2 - 1e-9
+    assert core_approx(e).stats["xy"] ** 0.5 >= opt.rho / 2 - 1e-9
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -145,7 +145,7 @@ def test_core_density_lower_bound_lemma(seed):
     e = _random_tiny(seed + 200, n_hi=10, m_hi=30)
     for x in range(1, 4):
         for y in range(1, 4):
-            c = xy_core(e, x, y)
+            c = LocalEngine().core(e, x, y)
             if c.m:
                 assert rho2_frac(c.m, c.n_src, c.n_dst) >= x * y
 

@@ -9,64 +9,51 @@ import pytest
 from repro.flow.dinic import Dinic
 
 
+def _dinic(n, arcs):
+    """The network on ``n`` nodes with ``arcs`` [(u, v, cap), ...] and no
+    start flow."""
+    tail, head, cap = [a[0] for a in arcs], [a[1] for a in arcs], [a[2] for a in arcs]
+    return Dinic(n, tail, head, cap, [0] * len(cap))
+
+
 def test_single_edge():
-    d = Dinic(2)
-    d.add_edge(0, 1, 3.0)
+    d = _dinic(2, [(0, 1, 3.0)])
     assert d.max_flow(0, 1) == pytest.approx(3.0)
 
 
 def test_two_parallel_edges():
-    d = Dinic(2)
-    d.add_edge(0, 1, 3.0)
-    d.add_edge(0, 1, 4.5)
+    d = _dinic(2, [(0, 1, 3.0), (0, 1, 4.5)])
     assert d.max_flow(0, 1) == pytest.approx(7.5)
 
 
 def test_series_bottleneck():
-    d = Dinic(3)
-    d.add_edge(0, 1, 5.0)
-    d.add_edge(1, 2, 2.0)
+    d = _dinic(3, [(0, 1, 5.0), (1, 2, 2.0)])
     assert d.max_flow(0, 2) == pytest.approx(2.0)
 
 
 def test_disconnected():
-    d = Dinic(3)
-    d.add_edge(0, 1, 5.0)
+    d = _dinic(3, [(0, 1, 5.0)])
     assert d.max_flow(0, 2) == pytest.approx(0.0)
 
 
 def test_no_edges():
-    d = Dinic(2)
+    d = _dinic(2, [])
     assert d.max_flow(0, 1) == pytest.approx(0.0)
 
 
 def test_classic_diamond():
     # s=0, a=1, b=2, t=3
-    d = Dinic(4)
-    d.add_edge(0, 1, 10)
-    d.add_edge(0, 2, 10)
-    d.add_edge(1, 2, 1)
-    d.add_edge(1, 3, 5)
-    d.add_edge(2, 3, 10)
+    d = _dinic(4, [(0, 1, 10), (0, 2, 10), (1, 2, 1), (1, 3, 5), (2, 3, 10)])
     assert d.max_flow(0, 3) == pytest.approx(15.0)
 
 
 def test_infinite_capacity_passthrough():
-    d = Dinic(3)
-    d.add_edge(0, 1, 7.0)
-    d.add_edge(1, 2, inf)
+    d = _dinic(3, [(0, 1, 7.0), (1, 2, inf)])
     assert d.max_flow(0, 2) == pytest.approx(7.0)
 
 
-def test_negative_capacity_rejected():
-    d = Dinic(2)
-    with pytest.raises(ValueError):
-        d.add_edge(0, 1, -1.0)
-
-
 def test_cut_side_contains_source_only_when_saturated():
-    d = Dinic(2)
-    d.add_edge(0, 1, 2.0)
+    d = _dinic(2, [(0, 1, 2.0)])
     d.max_flow(0, 1)
     assert d.min_cut_source_side() == [0]
 
@@ -101,15 +88,13 @@ def test_random_networks_match_bruteforce_mincut(seed):
     n = int(rng.integers(4, 8))
     n_edges = int(rng.integers(4, 16))
     edges = []
-    d = Dinic(n)
     for _ in range(n_edges):
         u, v = rng.integers(0, n, 2)
         if u == v:
             continue
         c = float(rng.integers(1, 10))
         edges.append((int(u), int(v), c))
-        d.add_edge(int(u), int(v), c)
-    flow = d.max_flow(0, n - 1)
+    flow = _dinic(n, edges).max_flow(0, n - 1)
     assert flow == pytest.approx(_brute_min_cut(n, edges, 0, n - 1))
     assert flow == _nx_max_flow(n, edges, 0, n - 1)
 
@@ -120,14 +105,13 @@ def test_min_cut_source_side_is_valid_cut(seed):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(4, 9))
     edges = []
-    d = Dinic(n)
     for _ in range(int(rng.integers(5, 20))):
         u, v = rng.integers(0, n, 2)
         if u == v:
             continue
         c = float(rng.integers(1, 8))
         edges.append((int(u), int(v), c))
-        d.add_edge(int(u), int(v), c)
+    d = _dinic(n, edges)
     flow = d.max_flow(0, n - 1)
     assert flow == _nx_max_flow(n, edges, 0, n - 1)
     side = set(d.min_cut_source_side())
@@ -137,28 +121,32 @@ def test_min_cut_source_side_is_valid_cut(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_from_arcs_lays_out_arcs_as_add_edge(seed):
-    """Arcs built from arrays get the ids, per-node order and capacities
-    that ``add_edge`` calls in the same order give."""
+def test_arcs_are_laid_out_as_documented(seed):
+    """Arc k has id 2k (tail→head) and its twin id 2k+1 (head→tail); the
+    residual caps are cap − flow forward and flow on the twin; each node
+    lists the ids of the arcs leaving it in ascending order."""
     rng = np.random.default_rng(200 + seed)
     n = int(rng.integers(3, 9))
     tail, head = rng.integers(0, n, 20), rng.integers(0, n, 20)
-    caps = rng.integers(0, 9, 20).tolist()
-    by_calls = Dinic(n)
-    for u, v, c in zip(tail.tolist(), head.tolist(), caps):
-        by_calls.add_edge(u, v, c)
-    by_arrays = Dinic.from_arcs(n, tail, head, caps, [0] * len(caps))
-    assert (by_arrays.n, by_arrays.to, by_arrays.graph, by_arrays.cap) == (
-        by_calls.n, by_calls.to, by_calls.graph, by_calls.cap
-    )
-    assert by_arrays.max_flow(0, n - 1) == by_calls.max_flow(0, n - 1)
+    cap = rng.integers(0, 9, 20).tolist()
+    flow = [int(rng.integers(0, c + 1)) for c in cap]
+    d = Dinic(n, tail, head, cap, flow)
+    assert d.n == n and len(d.to) == len(d.cap) == 40
+    for k, (u, v, c, f) in enumerate(zip(tail.tolist(), head.tolist(), cap, flow)):
+        assert (d.to[2 * k], d.cap[2 * k]) == (v, c - f)
+        assert (d.to[2 * k + 1], d.cap[2 * k + 1]) == (u, f)
+    leaving = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(zip(tail.tolist(), head.tolist())):
+        leaving[u].append(2 * k)
+        leaving[v].append(2 * k + 1)
+    assert d.graph == [sorted(ids) for ids in leaving]
 
 
 def test_max_flow_adds_to_a_starting_flow():
     """s→a→t and s→t, capacity 5 each, starting from 3 units on s→a→t:
     ``max_flow`` returns the 7 it adds, and the cut is the same."""
     tail, head = np.array([0, 1, 0]), np.array([1, 2, 2])
-    d = Dinic.from_arcs(3, tail, head, [5, 5, 5], [3, 3, 0])
+    d = Dinic(3, tail, head, [5, 5, 5], [3, 3, 0])
     assert d.max_flow(0, 2) == 7
     assert d.min_cut_source_side() == [0]
 
@@ -187,13 +175,12 @@ def _random_arcs(rng, n, n_arcs):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_cut_is_the_residual_reach_after_add_edge(seed):
-    """After ``max_flow`` the cut is exactly what a fresh search of the
-    residual graph reaches from ``s``."""
+    """After ``max_flow`` from zero flow the cut is exactly what a fresh
+    search of the residual graph reaches from ``s``."""
     rng = np.random.default_rng(300 + seed)
     n = int(rng.integers(3, 10))
-    d = Dinic(n)
-    for u, v, c in zip(*_random_arcs(rng, n, int(rng.integers(3, 30)))):
-        d.add_edge(int(u), int(v), c)
+    tail, head, cap = _random_arcs(rng, n, int(rng.integers(3, 30)))
+    d = Dinic(n, tail, head, cap, [0] * len(cap))
     d.max_flow(0, n - 1)
     assert d.min_cut_source_side() == _residual_reach(d, 0)
 
@@ -208,11 +195,11 @@ def test_cut_is_the_residual_reach_from_a_starting_flow(seed, start):
     n = int(rng.integers(3, 10))
     tail, head, cap = _random_arcs(rng, n, int(rng.integers(3, 30)))
     low = cap if start == "maximum" else [int(rng.integers(0, c + 1)) for c in cap]
-    pre = Dinic.from_arcs(n, tail, head, low, [0] * len(low))
+    pre = Dinic(n, tail, head, low, [0] * len(low))
     pre_value = pre.max_flow(0, n - 1)
     flow = pre.cap[1::2]  # a reverse residual holds its arc's flow
-    d = Dinic.from_arcs(n, tail, head, cap, flow)
-    full = Dinic.from_arcs(n, tail, head, cap, [0] * len(cap))
+    d = Dinic(n, tail, head, cap, flow)
+    full = Dinic(n, tail, head, cap, [0] * len(cap))
     added = d.max_flow(0, n - 1)
     assert pre_value + added == full.max_flow(0, n - 1)
     if start == "maximum":

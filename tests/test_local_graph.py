@@ -98,7 +98,7 @@ def test_labels_survive_dense_ids():
     from repro import datasets
     from repro.core.approx import bs_approx, core_approx
     from repro.core.exact import core_exact
-    from repro.core.xycore import max_xy_core, xy_core
+    from repro.core.xycore import LocalEngine
 
     dense = datasets.load_local("xs-plant")
     n = int(max(dense.src.max(), dense.dst.max())) + 1
@@ -111,16 +111,14 @@ def test_labels_survive_dense_ids():
     lab = np.sort(rng.choice(np.unique(pool), n, replace=False))
     sparse = EdgeArrays(lab[dense.src], lab[dense.dst])
 
+    eng = LocalEngine()
     for x, y in [(1, 1), (2, 3), (3, 2)]:
-        got, want = xy_core(sparse, x, y), xy_core(dense, x, y)
+        got, want = eng.core(sparse, x, y), eng.core(dense, x, y)
         assert got.src.tolist() == lab[want.src].tolist()
         assert got.dst.tolist() == lab[want.dst].tolist()
-    got, want = max_xy_core(sparse), max_xy_core(dense)
-    assert (got.x, got.y, got.stats) == (want.x, want.y, want.stats)
-    assert got.edges.src.tolist() == lab[want.edges.src].tolist()
     for algo in (core_approx, bs_approx, core_exact):
         got, want = algo(sparse), algo(dense)
-        assert got.rho2 == want.rho2 and got.stats == want.stats
+        assert (got.rho2, got.edges_st, got.stats) == (want.rho2, want.edges_st, want.stats)
         assert got.S.tolist() == lab[want.S].tolist()
         assert got.T.tolist() == lab[want.T].tolist()
 

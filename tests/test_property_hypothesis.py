@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import core_exact, dc_exact
-from repro.core.xycore import xy_core
+from repro.core.xycore import LocalEngine
 from repro.graph.local import EdgeArrays
 
 _SLOW = settings(
@@ -56,7 +56,7 @@ def test_approximation_guarantees(e):
 @_SLOW
 @given(tiny_graphs(), st.integers(1, 3), st.integers(1, 3))
 def test_xy_core_is_maximal_fixpoint(e, x, y):
-    core = xy_core(e, x, y)
+    core = LocalEngine().core(e, x, y)
     if core.m == 0:
         return
     _, s_inv = np.unique(core.src, return_inverse=True)

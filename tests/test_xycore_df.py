@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core import xycore
+from repro.core.approx import core_approx
 from repro.core.exact import core_exact
-from repro.core.xycore import (
-    DataFrameEngine,
-    max_xy_core,
-    xy_core,
-    y_max_for_x,
-)
+from repro.core.xycore import DataFrameEngine, LocalEngine, to_local, y_max_for_x
 from repro.graph import generators as gen
 from repro.graph.local import EdgeArrays, collect_edges
 from repro.oracle import assert_equivalent
@@ -30,18 +26,24 @@ def _pairs(e):
     return set(zip(e.src.tolist(), e.dst.tolist()))
 
 
+def _same_result(a, b):
+    """Whole-result equality: S, T, |E(S,T)| and every stat."""
+    assert (a.S.tolist(), a.T.tolist(), a.edges_st) == (b.S.tolist(), b.T.tolist(), b.edges_st)
+    assert a.stats == b.stats
+
+
 @pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (3, 1), (1, 4), (2, 5)])
 def test_xy_core_parity(spark, graph_pair, spark_only, df_rounds, x, y):
     local, df = graph_pair
-    c_local = xy_core(local, x, y)
-    c_df = collect_edges(xy_core(df, x, y))
+    c_local = LocalEngine().core(local, x, y)
+    c_df = collect_edges(DataFrameEngine().core(df, x, y))
     assert _pairs(c_local) == _pairs(c_df)
     assert df_rounds[0] >= 1
 
 
 def test_xy_core_df_empty_result(spark, graph_pair, spark_only, df_rounds):
     _, df = graph_pair
-    c = xy_core(df, 1000, 1000)
+    c = DataFrameEngine().core(df, 1000, 1000)
     assert c.count() == 0
     assert df_rounds[0] >= 1
 
@@ -66,23 +68,22 @@ def test_df_engine_degree_bounds_zero_on_empty(spark, graph_pair):
 @pytest.mark.parametrize("x", [1, 2, 3])
 def test_y_max_parity(spark, graph_pair, x):
     local, df = graph_pair
-    y_l, _ = y_max_for_x(local, x)
-    y_d, _ = y_max_for_x(df, x)
-    assert y_l == y_d
+    st_l, st_d = {"core_probes": 0}, {"core_probes": 0}
+    y_l, core_l, _ = y_max_for_x(local, x, LocalEngine(), st_l)
+    y_d, core_d, _ = y_max_for_x(df, x, DataFrameEngine(), st_d)
+    assert (y_l, st_l) == (y_d, st_d)
+    assert _pairs(core_l) == _pairs(to_local(core_d))
 
 
 def test_max_xy_core_parity(spark, graph_pair):
     local, df = graph_pair
-    b_l = max_xy_core(local)
-    b_d = max_xy_core(df)
-    assert (b_l.x, b_l.y) == (b_d.x, b_d.y)
-    assert _pairs(b_l.edges) == _pairs(b_d.edges)
+    _same_result(core_approx(local), core_approx(df))
 
 
 def test_xy_core_df_degree_invariant_via_oracle(spark, graph_pair, spark_only, df_rounds):
     """Every surviving source has >= x out-edges — checked in SQL."""
     _, df = graph_pair
-    core = xy_core(df, 2, 3)
+    core = DataFrameEngine().core(df, 2, 3)
     assert df_rounds[0] >= 1
     from pyspark.sql import functions as F
 
@@ -103,18 +104,14 @@ def test_mixed_path_parity(spark, graph_pair, monkeypatch, count_calls, df_round
     monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m // 2)
     collects = count_calls(xycore, "collect_edges")
 
-    c_local = xy_core(local, 4, 4)
+    c_local = LocalEngine().core(local, 4, 4)
     assert c_local.m <= local.m // 2
-    c_df = xy_core(df, 4, 4)
+    c_df = DataFrameEngine().core(df, 4, 4)
     assert isinstance(c_df, EdgeArrays)
     assert _pairs(c_df) == _pairs(c_local)
     assert df_rounds[0] >= 1 and collects[0] == 1
 
-    b_l = max_xy_core(local)
-    b_d = max_xy_core(df)
-    assert (b_l.x, b_l.y) == (b_d.x, b_d.y)
-    assert _pairs(b_l.edges) == _pairs(b_d.edges)
-    assert b_l.stats == b_d.stats
+    _same_result(core_approx(local), core_approx(df))
 
     rounds, n_collects = df_rounds[0], collects[0]
     assert core_exact(df).rho2 == core_exact(local).rho2

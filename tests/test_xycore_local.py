@@ -2,9 +2,16 @@
 import numpy as np
 import pytest
 
-from repro.core.xycore import LocalEngine, max_xy_core, xy_core, y_max_for_x
+from repro.core.approx import core_approx
+from repro.core.xycore import LocalEngine, y_max_for_x
 from repro.graph import generators as gen
 from repro.graph.local import EdgeArrays
+
+
+def _y_max_core(e, x):
+    """y_max(x) and its [x, y_max(x)]-core, on the local engine."""
+    y, core, _ = y_max_for_x(e, x, LocalEngine(), {"core_probes": 0})
+    return y, core
 
 
 def _e(pairs):
@@ -23,7 +30,7 @@ def _degrees_ok(core: EdgeArrays, x, y):
 def test_core_degree_invariant_handmade():
     # K_{2,2} from {0,1} to {2,3} plus a pendant edge 4->2
     e = _e([(0, 2), (0, 3), (1, 2), (1, 3), (4, 2)])
-    c = xy_core(e, 2, 2)
+    c = LocalEngine().core(e, 2, 2)
     assert _degrees_ok(c, 2, 2)
     assert set(c.src.tolist()) == {0, 1}
     assert set(c.dst.tolist()) == {2, 3}
@@ -31,20 +38,20 @@ def test_core_degree_invariant_handmade():
 
 def test_core_11_keeps_everything():
     e = _e([(0, 1), (2, 3)])
-    c = xy_core(e, 1, 1)
+    c = LocalEngine().core(e, 1, 1)
     assert c.m == 2
 
 
 def test_core_empty_when_too_demanding():
     e = _e([(0, 1), (1, 2)])
-    assert xy_core(e, 2, 1).m == 0
-    assert xy_core(e, 1, 3).m == 0
+    assert LocalEngine().core(e, 2, 1).m == 0
+    assert LocalEngine().core(e, 1, 3).m == 0
 
 
 def test_core_cascading_deletion():
     # chain where removing the tail unravels everything for x=1,y=2
     e = _e([(0, 1), (1, 2), (2, 3)])
-    assert xy_core(e, 1, 2).m == 0
+    assert LocalEngine().core(e, 1, 2).m == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -53,7 +60,7 @@ def test_core_invariant_and_maximality_random(seed):
     e = gen.er_directed(30, 150, seed=seed)
     x = int(rng.integers(1, 5))
     y = int(rng.integers(1, 5))
-    c = xy_core(e, x, y)
+    c = LocalEngine().core(e, x, y)
     assert _degrees_ok(c, x, y)
     if c.m:
         # maximality: no removed edge has both endpoints inside the core
@@ -68,23 +75,23 @@ def test_cores_nested_in_x_and_y(seed):
     def pairs(c):
         return set(zip(c.src.tolist(), c.dst.tolist()))
 
-    c11 = pairs(xy_core(e, 1, 1))
-    c21 = pairs(xy_core(e, 2, 1))
-    c12 = pairs(xy_core(e, 1, 2))
-    c22 = pairs(xy_core(e, 2, 2))
+    c11 = pairs(LocalEngine().core(e, 1, 1))
+    c21 = pairs(LocalEngine().core(e, 2, 1))
+    c12 = pairs(LocalEngine().core(e, 1, 2))
+    c22 = pairs(LocalEngine().core(e, 2, 2))
     assert c21 <= c11 and c12 <= c11 and c22 <= c21 and c22 <= c12
 
 
 def test_y_max_monotone_nonincreasing():
     e = gen.powerlaw_directed(80, 500, seed=2)
-    ys = [y_max_for_x(e, x)[0] for x in range(1, 8)]
+    ys = [_y_max_core(e, x)[0] for x in range(1, 8)]
     assert all(a >= b for a, b in zip(ys, ys[1:]))
 
 
 def test_y_max_value_is_tight():
     e = gen.er_directed(40, 300, seed=3)
     eng = LocalEngine()
-    y, core = y_max_for_x(e, 2)
+    y, core = _y_max_core(e, 2)
     assert eng.m(eng.core(e, 2, y)) > 0
     assert eng.m(eng.core(e, 2, y + 1)) == 0
 
@@ -92,7 +99,7 @@ def test_y_max_value_is_tight():
 def test_y_max_empty_graph():
     from repro.graph.local import empty_edges
 
-    y, core = y_max_for_x(empty_edges(), 1)
+    y, core = _y_max_core(empty_edges(), 1)
     assert y == 0 and core.m == 0
 
 
@@ -100,24 +107,23 @@ def test_y_max_empty_graph():
 def test_max_xy_core_is_exact_maximum(seed):
     """B&B result must equal the brute-force max over all x of x*y_max(x)."""
     e = gen.er_directed(25, 140, seed=seed + 10)
-    best = max_xy_core(e)
+    st = core_approx(e).stats
     x_ub = e.out_degree_max()
-    brute = max(x * y_max_for_x(e, x)[0] for x in range(1, x_ub + 1))
-    assert best.x * best.y == brute
+    brute = max(x * _y_max_core(e, x)[0] for x in range(1, x_ub + 1))
+    assert st["x"] * st["y"] == st["xy"] == brute
 
 
 def test_max_xy_core_on_planted_block():
     e = gen.planted_dds(100, 100, s_size=8, t_size=10, p_block=1.0, seed=4)
-    best = max_xy_core(e)
     # the planted 8x10 complete block is a [10,8]-core
-    assert best.x * best.y >= 80
+    assert core_approx(e).stats["xy"] >= 80
 
 
 def test_max_xy_core_empty():
     from repro.graph.local import empty_edges
 
-    r = max_xy_core(empty_edges())
-    assert r.x == 0 and r.y == 0 and r.edges.m == 0
+    r = core_approx(empty_edges())
+    assert (r.stats["x"], r.stats["y"], r.edges_st) == (0, 0, 0)
 
 
 def test_core_density_lower_bound():
@@ -126,6 +132,6 @@ def test_core_density_lower_bound():
 
     e = gen.powerlaw_directed(150, 900, seed=6)
     for x, y in [(1, 1), (2, 2), (1, 4), (3, 1)]:
-        c = xy_core(e, x, y)
+        c = LocalEngine().core(e, x, y)
         if c.m:
             assert rho2_frac(c.m, c.n_src, c.n_dst) >= x * y
