@@ -45,53 +45,76 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
     """The paper's 2-approximation: the nonempty [x,y]-core maximizing
     x·y, found exactly by branch-and-bound.
 
+    Only a product above the floor max(best x·y found, d_out_max − 1,
+    d_in_max − 1) can win: the [d_out_max,1]- and [1,d_in_max]-cores
+    contain the stars of the top-degree vertices, so are never empty. Each x is searched with ``y_max_for_x`` at the
+    current floor: it builds the product core that holds every [x,y]-core
+    above the floor and probes only the y above ``floor``//x, so an x that
+    cannot win costs one fixpoint. Below the floor it returns an upper bound
+    on y_max(x) instead, which serves the skip rule as well. An empty
+    product core ends the search: no x' ≥ x can beat the floor, which only
+    rises.
+
     Correctness of the skip rule: ``y_max`` is non-increasing, so for any
     x' ≥ x_eval, ``x'·y_max(x') ≤ x'·y_max(x_eval)``; an x' is only
-    skipped when that bound cannot beat the best product found. Geometric
-    seeding (x = 1,2,4,…) establishes a good incumbent early so the
-    ascending scan skips almost everything on skewed graphs.
+    skipped when that bound cannot beat the floor, and ``y_max(x_eval)``
+    (or its bound) caps the y searched at x'. Geometric seeding
+    (x = 1,2,4,…) establishes a good incumbent early so the ascending scan
+    skips almost everything on skewed graphs. The winning product is at
+    least the larger star's and beats every incumbent before it, so it is
+    above the floor whenever the search reaches the winning x: that x is
+    neither skipped nor cut off, its y_max is found exactly, and a later x
+    only replaces it with a larger product. The winning (x, y) and its core
+    are those of the same search without a floor.
 
-    The [x,1]-cores nest ([x,1]-core ⊆ [x',1]-core for x' < x, and the
-    maximal core of any superset of it is itself), so each x is searched
-    from the [x',1]-core of the largest evaluated x' < x, not the full
-    graph. A DataFrame input within ``DRIVER_EDGE_BUDGET`` is collected
-    once on entry (``to_driver``); a caller that has already entered and
-    counted ``edges`` (Core-Exact) passes its edge count ``m``, so a
-    DataFrame above the budget is not headed a second time. Duplicate
-    edges are rejected once on the driver.
+    The product cores nest (the one at x with a higher floor lies inside
+    the one at any x' < x, and the maximal core of any superset of it is
+    itself), so each x is searched from the base of the largest evaluated
+    x' < x, not the full graph. A DataFrame input within
+    ``DRIVER_EDGE_BUDGET`` is collected once on entry (``to_driver``); a
+    caller that has already entered and counted ``edges`` (Core-Exact)
+    passes its edge count ``m``, so a DataFrame above the budget is not
+    headed a second time. Duplicate edges are rejected once on the driver.
     """
     edges = to_driver(edges, m)
     check_no_duplicates(edges)
     eng = engine_for(edges)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
-    x_ub = eng.max_out_degree(edges)
-    best = (0, 0, empty_edges())  # (x, y, core); x = 1 replaces it: y_max(1) ≥ 1
-    ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
-    bases: dict = {}  # evaluated x -> its [x,1]-core (engine state)
+    x_ub, y_ub = eng.max_out_degree(edges), eng.max_in_degree(edges)
+    star = max(x_ub, y_ub) - 1  # a star core beats this
+    best = (0, 0, empty_edges())  # (x, y, core)
+    ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x), or a bound on it
+    bases: dict = {}  # evaluated x -> its product core (engine state)
 
-    def evaluate(x: int, start) -> int:
-        nonlocal best
-        y, core, bases[x] = y_max_for_x(start, x, eng, stats)
+    def floor() -> int:
+        return max(best[0] * best[1], star)
+
+    def evaluate(x: int, start, y_hi: int) -> bool:
+        """Search x; False once no x' ≥ x can beat the floor."""
+        nonlocal best, x_ub
+        y, core, bases[x] = y_max_for_x(start, x, eng, stats, floor(), y_hi)
         stats["x_evaluated"] += 1
         ymax_at[x] = y
-        if x * y > best[0] * best[1]:
+        if core is not None:  # x·y beats the floor, so the best product too
             best = (x, y, to_local(core))
-        return y
+        if eng.m(bases[x]) == 0:  # it holds every core at x' ≥ x above the floor
+            x_ub = x - 1
+        return x <= x_ub
 
     # geometric seeding
-    x, start = 1, edges
-    while x <= x_ub and evaluate(x, start) > 0:
-        start = bases[x]
+    x, start, y_hi = 1, edges, y_ub
+    while x <= x_ub and evaluate(x, start, y_hi):
+        start, y_hi = bases[x], ymax_at[x]
         x *= 2
     # ascending scan with monotone-bound skip; prev is the largest
-    # evaluated x' < x, whose y_max bounds y_max(x) and whose core holds x's
+    # evaluated x' < x, whose y_max bounds y_max(x) and whose base holds x's
     prev = 1
     for x in range(2, x_ub + 1):
         if x in ymax_at:
             prev = x
-        elif x * ymax_at[prev] <= best[0] * best[1]:
+        elif x * ymax_at[prev] <= floor():
             stats["x_skipped"] += 1
-        elif evaluate(x, bases.pop(prev)) == 0:
+        elif not evaluate(x, bases.pop(prev), ymax_at[prev]):
             break
         else:
             prev = x

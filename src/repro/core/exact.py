@@ -248,6 +248,16 @@ def core_exact(edges) -> DDSResult:
     β = `_widen_factor(ρ_best²/F_ub²)`. One rule settles every probed
     ratio: [min(a/β, c), max(a·β, c)], where c = |S|/|T| when solved (the
     DC-lemma interval) and c = a otherwise.
+
+    Every probe is searched from one product core of the input, built once
+    after seeding with floor F = ⌊ρ_best²(1−δ)²/4⌋ − 1 and counted as a
+    core probe. It holds every [x,y]-core with x·y > F (``LocalEngine.core``),
+    and every probe is one: x ≥ λj and y ≥ λi give x·y ≥ λ²ij, and `_level`
+    falls short of √v, v = ρ_best²(1−δ)²/(4ij), by less than 2⁻⁶⁴, so
+    λ²ij > ρ_best²(1−δ)²/4 − 2⁻⁶⁴·√(ρ_best²(1−δ)²·ij) > F, as long as
+    ρ_best²·ij < 2¹²⁸ (ρ² ≤ m and i, j ≤ m: any graph under 2⁴² edges).
+    ρ_best only grows after F is set. So each probe's core is the same
+    searched from the product core as from the full input.
     """
     stats: dict = {
         "algo": "core-exact",
@@ -274,6 +284,9 @@ def core_exact(edges) -> DDSResult:
             best = DDSResult.of_edges(edges, {})
         else:
             best = DDSResult(*collect_vertices(edges), m)
+    # one product core holds every probe's core (see the docstring)
+    base = eng.core(edges, 1, 1, floor(best.rho2 * (1 - _PROBE_DELTA) ** 2 / 4) - 1)
+    stats["core_probes_exact"] += 1
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
         """Probe/solve ratio a; returns the settled closed ratio interval."""
@@ -281,7 +294,7 @@ def core_exact(edges) -> DDSResult:
         i, j = a.numerator, a.denominator
         lam_probe = _level(best.rho2 * (1 - _PROBE_DELTA) ** 2, i, j)
         x, y = _thresholds(lam_probe, i, j)
-        core_state = eng.core(edges, x, y)
+        core_state = eng.core(base, x, y)
         stats["core_probes_exact"] += 1
         sol = None
         if eng.m(core_state) == 0:

@@ -7,9 +7,17 @@ into ``T`` and every ``v ∈ T`` has ≥ y in-edges from ``S``.
 Feasible pairs are closed under union (degrees only grow), so the
 maximal core is unique and equals the fixpoint of batch-deleting
 violators. Each deletion round is one ``degree_round``: on a DataFrame,
-two degree aggregations + two semijoins — the dataflow formulation the
-reproduction hint asks for; on an ``EdgeArrays``, the same filter in
-numpy. The state's type picks the substrate; there is no engine option.
+two degree aggregations joined back onto the edges and one filter — the
+dataflow formulation the reproduction hint asks for; on an
+``EdgeArrays``, the same filter in numpy. The state's type picks the
+substrate; there is no engine option.
+
+A fixpoint may also take a product floor f: a round then also deletes
+every edge whose source out-degree times destination in-degree is ≤ f.
+Edge sets that pass the three rules are closed under union too, and every
+edge of an [x′,y′]-core has that product ≥ x′·y′, so the product core
+holds every [x′,y′]-core with x′ ≥ x, y′ ≥ y and x′·y′ > f. Core-Approx
+and Core-Exact start their searches from such cores.
 
 There is one Spark→driver handoff rule: DataFrame rounds run only while
 the edge set holds more than ``DRIVER_EDGE_BUDGET`` edges. A state
@@ -26,7 +34,8 @@ enters once: Core-Exact hands Core-Approx the state it entered and counted.
 
 The module also implements the step Core-Approx (``repro.core.approx``)
 repeats for each x it evaluates: ``y_max_for_x``, the largest y with a
-nonempty [x,y]-core, by binary search over nested cores.
+nonempty [x,y]-core when x·y beats a floor, by binary search over nested
+cores.
 """
 from __future__ import annotations
 
@@ -48,27 +57,33 @@ MAX_DF_ROUNDS = 10_000
 # ---------------------------------------------------------------------------
 
 
-def degree_round(state, lo_out: float, lo_in: float):
+def degree_round(state, lo_out: float, lo_in: float, floor: int = 0):
     """One batch deletion round: the edges whose source has out-degree
-    > ``lo_out`` and whose destination has in-degree > ``lo_in``.
+    > ``lo_out``, whose destination has in-degree > ``lo_in``, and whose
+    two degrees multiply to more than ``floor``.
 
     Both the [x,y]-core fixpoint (bounds x−1, y−1) and the BS-Approx peel
-    (float thresholds) are repeated rounds of this. An ``EdgeArrays`` state
-    is filtered in numpy, by degrees counted on its dense vertex ids, and
-    returned itself when no edge goes; the survivors keep its id space. A
-    DataFrame state becomes two degree aggregations and two semijoins, with
-    an eager ``localCheckpoint`` to cut lineage (iterative plans grow
-    exponentially otherwise).
+    (float thresholds, no floor) are repeated rounds of this. With
+    ``floor`` ≤ 0 the product rule removes nothing, since every degree of an
+    edge's endpoint is at least 1. An ``EdgeArrays`` state is filtered in
+    numpy, by degrees counted on its dense vertex ids, and returned itself
+    when no edge goes; the survivors keep its id space. A DataFrame state
+    joins each edge's two degrees and filters once, with an eager
+    ``localCheckpoint`` to cut lineage (iterative plans grow exponentially
+    otherwise).
     """
     if isinstance(state, EdgeArrays):
         s, t = state.src_ids, state.dst_ids
-        keep = (s.degrees()[s.ids] > lo_out) & (t.degrees()[t.ids] > lo_in)
+        d_out, d_in = s.degrees()[s.ids], t.degrees()[t.ids]
+        keep = (d_out > lo_out) & (d_in > lo_in)
+        if floor > 0:
+            keep &= d_out * d_in > floor
         return state if keep.all() else state.select(keep)
-    s_ok = out_degrees(state).filter(F.col("out_deg") > lo_out).select(SRC)
-    t_ok = in_degrees(state).filter(F.col("in_deg") > lo_in).select(DST)
+    d_out, d_in = F.col("out_deg"), F.col("in_deg")
     return (
-        state.join(s_ok, SRC, "left_semi")
-        .join(t_ok, DST, "left_semi")
+        state.join(out_degrees(state), SRC)
+        .join(in_degrees(state), DST)
+        .filter((d_out > lo_out) & (d_in > lo_in) & (d_out * d_in > floor))
         .select(SRC, DST)
         .localCheckpoint(eager=True)
     )
@@ -77,9 +92,15 @@ def degree_round(state, lo_out: float, lo_in: float):
 class LocalEngine:
     """numpy batch-fixpoint engine; state = EdgeArrays."""
 
-    def core(self, state: EdgeArrays, x: int, y: int) -> EdgeArrays:
+    def core(self, state: EdgeArrays, x: int, y: int, floor: int = 0) -> EdgeArrays:
+        """The [x,y]-core of ``state``, or with ``floor`` > 0 its product
+        core: the largest edge subset in which every edge's source has
+        out-degree ≥ x, its destination in-degree ≥ y, and the two degrees
+        multiply to more than ``floor``. That subset holds every
+        [x′,y′]-core with x′ ≥ x, y′ ≥ y and x′·y′ > ``floor``, so each
+        such core is the same searched from it as from ``state``."""
         while state.m:
-            kept = degree_round(state, x - 1, y - 1)
+            kept = degree_round(state, x - 1, y - 1, floor)
             if kept is state:
                 break
             state = kept
@@ -107,16 +128,16 @@ class DataFrameEngine(LocalEngine):
     fixpoint, and ``EdgeArrays`` states get the ``LocalEngine`` methods.
     """
 
-    def core(self, state, x: int, y: int):
+    def core(self, state, x: int, y: int, floor: int = 0):
         if isinstance(state, EdgeArrays):
-            return super().core(state, x, y)
+            return super().core(state, x, y, floor)
         m = self.m(state)
         for _ in range(MAX_DF_ROUNDS):
             if m == 0:
                 return state
             if m <= DRIVER_EDGE_BUDGET:
-                return super().core(collect_edges(state), x, y)
-            state, m_prev = degree_round(state, x - 1, y - 1), m
+                return super().core(collect_edges(state), x, y, floor)
+            state, m_prev = degree_round(state, x - 1, y - 1, floor), m
             m = self.m(state)
             if m == m_prev:
                 return state
@@ -181,25 +202,34 @@ def to_driver(edges, m: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict):
-    """Largest y with nonempty [x,y]-core, that core, and the [x,1]-core
-    it was searched in (engine states); each core probe adds one to
-    ``st["core_probes"]``.
+def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict, floor: int = 0,
+                y_hi: int | None = None):
+    """y_max(x), the largest y with a nonempty [x,y]-core, if x·y_max(x)
+    exceeds ``floor``; the search's cores are engine states, and each core
+    probe adds one to ``st["core_probes"]``.
 
-    Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``;
-    every probe runs inside the previously found nonempty core, so probes
-    get cheaper as y grows. Returns ``(0, empty, empty)`` when even [x,1]
-    is empty.
+    Returns ``(y, core, base)``. ``base`` is the product core of ``edges``
+    at (x, 1, ``floor``), which holds every [x,y]-core with x·y > ``floor``.
+    When x·y_max(x) > ``floor``, ``y`` is y_max(x) and ``core`` its core;
+    otherwise ``y`` is min(``floor``//x, ``y_hi``), an upper bound on
+    y_max(x), and ``core`` is None. ``y_hi``, if given, must bound y_max(x).
+
+    Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``,
+    only over the y in (``floor``//x, min(max in-degree, ``y_hi``)], where
+    every [x,y]-core is the same searched from ``base`` as from ``edges``;
+    every probe runs inside the last nonempty core found, so probes get
+    cheaper as y grows.
     """
-    base = eng.core(edges, x, 1)
+    base = eng.core(edges, x, 1, floor)
     st["core_probes"] += 1
-    if eng.m(base) == 0:
-        return 0, base, base
-    lo, lo_core = 1, base  # invariant: [x,lo]-core nonempty, held in lo_core
+    lo = floor // x  # no y up to here beats the floor
     hi = eng.max_in_degree(base)  # [x,y]-core empty for y > max in-degree
+    if y_hi is not None:
+        lo, hi = min(lo, y_hi), min(hi, y_hi)
+    lo_core = None  # once set: the nonempty [x,lo]-core
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        probe = eng.core(lo_core, x, mid)
+        probe = eng.core(base if lo_core is None else lo_core, x, mid)
         st["core_probes"] += 1
         if eng.m(probe) == 0:
             hi = mid - 1

@@ -204,17 +204,18 @@ def test_core_exact_collects_probe_cores_above_budget(spark, spark_only, monkeyp
     """Flow runs only on the driver, so with every round on Spark each
     nonempty probe core is collected whole, whatever its size. Each
     unbounded collect returns exactly the rows of a core the Spark fixpoint
-    returned, which is the input's [x,y]-core; pruning makes some of them
-    smaller than the input, and the answer is the local run's."""
+    returned, which is the input's [x,y]-core (or product core, at the
+    fixpoint's floor); pruning makes some of them smaller than the input,
+    and the answer is the local run's."""
     local = gen.er_directed(10, 30, seed=5)
     df = gen.to_spark(spark, local).cache()
     want = core_exact(local)
-    cores = []  # (DataFrame core returned, the local [x,y]-core)
+    cores = []  # (DataFrame core returned, the local core at the same x, y, floor)
     fn = xycore.DataFrameEngine.core
 
-    def logged(self, state, x, y):
-        out = fn(self, state, x, y)
-        cores.append((out, LocalEngine().core(local, x, y)))
+    def logged(self, state, x, y, floor=0):
+        out = fn(self, state, x, y, floor)
+        cores.append((out, LocalEngine().core(local, x, y, floor)))
         return out
 
     monkeypatch.setattr(xycore.DataFrameEngine, "core", logged)

@@ -1,5 +1,6 @@
 """The exact algorithms against brute force and against each other."""
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.core import exact
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.density import skewed2_frac
+from repro.core.xycore import LocalEngine
 from repro.core.exact import (
     _level,
     _thresholds,
@@ -136,6 +138,66 @@ def test_core_exact_stats_schema_does_not_depend_on_the_winner():
     assert solved.rho2 > core_approx(er).rho2
     assert set(seeded.stats) == set(solved.stats)
     assert isinstance(seeded.stats["core_sizes"], list)
+
+
+def _pairs(e):
+    return set(zip(e.src.tolist(), e.dst.tolist()))
+
+
+@pytest.mark.parametrize("name", ["xs-er", "xs-pl", "xs-plant", "s-er", "s-pl", "m-plant"])
+def test_core_exact_probes_lie_above_the_base_floor(name, monkeypatch):
+    """Every ratio probe runs from the one product core built after seeding,
+    has x·y above its floor, and gets the core it would get from the input."""
+    e = datasets.load_local(name)
+    real = LocalEngine.core
+    calls = []  # (state, x, y, floor, core) of core_exact's own fixpoints
+    phase = {"seeded": False, "solving": False}
+
+    def core(self, state, x, y, floor=0):
+        out = real(self, state, x, y, floor)
+        if phase["seeded"] and not phase["solving"]:
+            calls.append((state, x, y, floor, out))
+        return out
+
+    def seeding(*args, **kwargs):
+        res = core_approx(*args, **kwargs)
+        phase["seeded"] = True
+        return res
+
+    def solving(*args, **kwargs):
+        phase["solving"] = True
+        try:
+            return solve_ratio(*args, **kwargs)
+        finally:
+            phase["solving"] = False
+
+    monkeypatch.setattr(LocalEngine, "core", core)
+    monkeypatch.setattr(exact, "core_approx", seeding)
+    monkeypatch.setattr(exact, "solve_ratio", solving)
+    res = core_exact(e)
+
+    (_, bx, by, floor, base), *probes = calls
+    seed_rho2 = max(core_approx(e).rho2, Fraction(e.m**2, e.n_src * e.n_dst))
+    assert (bx, by) == (1, 1)
+    assert floor == math.floor(seed_rho2 * (1 - exact._PROBE_DELTA) ** 2 / 4) - 1
+    assert len(probes) == res.stats["core_probes_exact"] - 1 > 0
+    for state, x, y, _, got in probes:
+        assert state is base and x * y > floor
+        assert _pairs(got) == _pairs(real(LocalEngine(), e, x, y))
+
+
+def test_m_plant_search_counters():
+    """On m-plant, the graph of the gated exact-planted workload, Core-Approx
+    needs at most half of the 128 core probes it made with no product floor,
+    and Core-Exact's flow work is what it was without the floor."""
+    e = datasets.load_local("m-plant")
+    assert core_approx(e).stats["core_probes"] <= 64
+    st = core_exact(e).stats
+    assert st["cuts"] == 7
+    assert st["ratios_solved"] == 4
+    assert st["ratios_skipped_empty_core"] == 9
+    assert st["max_flow_nodes"] == 102
+    assert st["core_sizes"] == [1921] * 7
 
 
 # --- subroutine-level tests -------------------------------------------------

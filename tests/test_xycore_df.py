@@ -32,11 +32,18 @@ def _same_result(a, b):
     assert a.stats == b.stats
 
 
-@pytest.mark.parametrize("x,y", [(1, 1), (2, 2), (3, 1), (1, 4), (2, 5)])
-def test_xy_core_parity(spark, graph_pair, spark_only, df_rounds, x, y):
+@pytest.mark.parametrize(
+    "x,y,floor",
+    [(1, 1, 0), (2, 2, 0), (3, 1, 0), (1, 4, 0), (2, 5, 0), (2, 1, 16)],
+    # the ids of the floor-0 cases predate the floor
+    ids=["1-1", "2-2", "3-1", "1-4", "2-5", "2-1-floor16"],
+)
+def test_xy_core_parity(spark, graph_pair, spark_only, df_rounds, x, y, floor):
+    """The Spark rounds' core equals numpy's; at floor 16 the product rule
+    removes a third of the [2,1]-core's edges."""
     local, df = graph_pair
-    c_local = LocalEngine().core(local, x, y)
-    c_df = collect_edges(DataFrameEngine().core(df, x, y))
+    c_local = LocalEngine().core(local, x, y, floor)
+    c_df = collect_edges(DataFrameEngine().core(df, x, y, floor))
     assert _pairs(c_local) == _pairs(c_df)
     assert df_rounds[0] >= 1
 

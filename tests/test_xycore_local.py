@@ -100,7 +100,7 @@ def test_y_max_empty_graph():
     from repro.graph.local import empty_edges
 
     y, core = _y_max_core(empty_edges(), 1)
-    assert y == 0 and core.m == 0
+    assert y == 0 and core is None  # no core beats the floor 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -135,3 +135,91 @@ def test_core_density_lower_bound():
         c = LocalEngine().core(e, x, y)
         if c.m:
             assert rho2_frac(c.m, c.n_src, c.n_dst) >= x * y
+
+
+# ---------------------------------------------------------------------------
+# the product floor
+# ---------------------------------------------------------------------------
+
+
+def _tiny_graph(seed):
+    """A random graph of at most 12 edges, small enough to enumerate."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    pairs = np.unique(rng.integers(0, n, size=(int(rng.integers(4, 13)), 2)), axis=0)
+    return EdgeArrays(pairs[:, 0].copy(), pairs[:, 1].copy())
+
+
+def _brute_product_core(e, x, y, floor):
+    """Union of every edge subset in which each edge has d_out ≥ x, d_in ≥ y
+    and d_out·d_in > floor (degrees counted in the subset): such subsets are
+    closed under union, so the union is the largest one."""
+    subsets = (np.arange(2**e.m)[:, None] >> np.arange(e.m)) & 1  # one row per subset
+    same_src = (e.src[:, None] == e.src[None, :]).astype(np.int64)
+    same_dst = (e.dst[:, None] == e.dst[None, :]).astype(np.int64)
+    d_out, d_in = subsets @ same_src, subsets @ same_dst
+    ok = (d_out >= x) & (d_in >= y) & (d_out * d_in > floor)
+    feasible = np.all(ok | (subsets == 0), axis=1)
+    return set(np.flatnonzero(subsets[feasible].any(axis=0)).tolist())
+
+
+def _edge_ids(e, sub):
+    """Positions in ``e`` of the edges of ``sub``."""
+    index = {p: k for k, p in enumerate(zip(e.src.tolist(), e.dst.tolist()))}
+    return {index[p] for p in zip(sub.src.tolist(), sub.dst.tolist())}
+
+
+def _pairs(e):
+    return set(zip(e.src.tolist(), e.dst.tolist()))
+
+
+def _true_y_max(e, x):
+    eng = LocalEngine()
+    return max((y for y in range(1, e.m + 1) if eng.core(e, x, y).m), default=0)
+
+
+FLOORS = range(0, 10)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_core_is_the_brute_force_maximum(seed):
+    e = _tiny_graph(seed)
+    eng = LocalEngine()
+    for x in range(1, 4):
+        for floor in FLOORS:
+            got = _edge_ids(e, eng.core(e, x, 1, floor))
+            assert got == _brute_product_core(e, x, 1, floor), (x, floor)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_core_holds_every_core_above_the_floor(seed):
+    e = _tiny_graph(seed)
+    eng = LocalEngine()
+    for x in range(1, 4):
+        for floor in FLOORS:
+            base = eng.core(e, x, 1, floor)
+            held = _edge_ids(e, base)
+            for x2 in range(x, e.m + 1):
+                for y2 in range(1, e.m + 1):
+                    if x2 * y2 > floor:
+                        core = eng.core(e, x2, y2)
+                        assert _edge_ids(e, core) <= held
+                        assert _pairs(eng.core(base, x2, y2)) == _pairs(core)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_y_max_for_x_above_and_below_the_floor(seed):
+    e = _tiny_graph(seed)
+    eng = LocalEngine()
+    for x in range(1, 4):
+        y_true = _true_y_max(e, x)
+        for floor in FLOORS:
+            for y_hi in (None, y_true, y_true + 2):
+                st = {"core_probes": 0}
+                y, core, _ = y_max_for_x(e, x, eng, st, floor, y_hi)
+                if x * y_true > floor:
+                    assert y == y_true, (x, floor, y_hi)
+                    assert _pairs(core) == _pairs(eng.core(e, x, y_true))
+                else:
+                    assert y >= y_true and core is None, (x, floor, y_hi)
+                assert st["core_probes"] >= 1
