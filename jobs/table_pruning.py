@@ -2,7 +2,8 @@
 
 Usage: python jobs/table_pruning.py [--sets xs-er,...]
 Reports, per dataset: candidate-ratio space size vs ratios actually
-solved / skipped via empty cores, min-cut calls, and the largest flow
+solved / skipped via empty cores, min-cut calls, lifts (Dinkelbach
+steps taken for free from a core's own density), and the largest flow
 network ever built relative to a whole-graph network (the paper's
 "flow network shrinks" figure, as a table), plus Core-Exact's wall time
 (the T2 rows of the sets too large for that table's other algorithms).
@@ -44,6 +45,7 @@ def run(names: list[str]) -> list[dict]:
                 "ratios_solved": st["ratios_solved"],
                 "ratios_skipped": st["ratios_skipped_empty_core"],
                 "cuts": st["cuts"],
+                "lifts": st["lifts"],
                 "flow_nodes_max": st["max_flow_nodes"],
                 "flow_nodes_full": full_nodes,
                 "shrink": round(st["max_flow_nodes"] / full_nodes, 4),

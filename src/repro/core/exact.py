@@ -5,7 +5,11 @@ the fixed-ratio skewed density ρ_a (see DESIGN.md §2). For a = i/j,
 ρ_a = 2√(ij)·μ with the rational μ(S,T) = |E(S,T)|/(j|S|+i|T|), so
 Dinkelbach runs on exact ``Fraction`` levels λ of μ; they strictly
 increase, so it terminates at F(a) = max ρ_a together with an argmax
-pair. The algorithms differ *only* in how much of the candidate-ratio
+pair. A level comes from a min cut or, for free, from the μ of the graph
+the step would cut (a pruned core, or the whole graph) whenever that is
+higher; each solve still ends with a cut that finds nothing above λ.
+DC-Exact solves from level 0, so its first level is the whole graph's μ.
+The algorithms differ *only* in how much of the candidate-ratio
 space they solve and on how small a subgraph each flow network is built —
 exactly the axes of the paper's contribution:
 
@@ -89,6 +93,13 @@ def solve_ratio(
     first shrinks the graph to the [x(λ),y(λ)]-core; cores are nested as λ
     grows, so shrinking the *current* core is valid.
 
+    The graph left after a prune (the whole graph without ``prune_cores``)
+    is itself a pair, and its μ is exact and free. While that μ is above λ
+    the pair becomes the incumbent and λ rises to it (a *lift*, counted in
+    ``stats["lifts"]``); Dinkelbach converges from any level a pair
+    attains. So a flow network is built only once the graph's own μ is at
+    most λ, and no cut is spent on rediscovering that pair.
+
     Each step reads everything off its min cut. The cut is the smallest
     one, so it selects nothing exactly when h = 0, which ends the
     iteration; otherwise h = |E(S,T)| − λ·(j|S| + i|T|) gives |E(S,T)|
@@ -106,6 +117,12 @@ def solve_ratio(
             st.setdefault("core_sizes", []).append(cur.m)
         if cur.m == 0:
             return best
+        mu = Fraction(cur.m, j * cur.n_src + i * cur.n_dst)
+        if mu > lam:  # strict: a prune that removes nothing then moves on to a cut
+            best = DDSResult.of_edges(cur, {})
+            lam = mu
+            st["lifts"] = st.get("lifts", 0) + 1
+            continue
         h, s_sel, t_sel = solve_level(cur, i, j, lam)
         st["cuts"] = st.get("cuts", 0) + 1
         if not nodes:  # cores nest, so a call's first network is its largest
@@ -137,7 +154,9 @@ def _sweep(lo: Fraction, hi: Fraction, ns: int, nt: int, settle) -> None:
 def exact_dds(e: EdgeArrays) -> DDSResult:
     """Baseline Exact: solve *every* candidate ratio on the whole graph."""
     check_no_duplicates(e)
-    stats: dict = {"algo": "exact", "cuts": 0, "max_flow_nodes": 0, "ratios_solved": 0}
+    stats: dict = {
+        "algo": "exact", "cuts": 0, "lifts": 0, "max_flow_nodes": 0, "ratios_solved": 0,
+    }
     if e.m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
     best = DDSResult.of_edges(e, {})
@@ -152,15 +171,12 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     return best
 
 
-def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> Fraction:
-    """μ of the full graph — a witness-backed start level for Dinkelbach."""
-    return Fraction(e.m, j * e.n_src + i * e.n_dst)
-
-
 def dc_exact(e: EdgeArrays) -> DDSResult:
     """Divide-and-conquer over the ratio space (no core pruning)."""
     check_no_duplicates(e)
-    stats: dict = {"algo": "dc-exact", "ratios_solved": 0, "cuts": 0, "max_flow_nodes": 0}
+    stats: dict = {
+        "algo": "dc-exact", "ratios_solved": 0, "cuts": 0, "lifts": 0, "max_flow_nodes": 0,
+    }
     if e.m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
     best = DDSResult.of_edges(e, {})
@@ -170,14 +186,12 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
         """Solve ratio a to its F(a)-argmax, of ratio c; settles [a, c] or [c, a]."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        sol = solve_ratio(e, i, j, _self_lower_bound(e, i, j), stats=stats)
+        # from level 0 the full graph's own μ lifts it, so a pair comes back
+        sol = solve_ratio(e, i, j, Fraction(0), stats=stats)
         stats["ratios_solved"] += 1
-        if sol is None:  # the full graph itself attains F(a)
-            c = Fraction(ns, nt)
-        else:
-            c = Fraction(len(sol.S), len(sol.T))
-            if sol.better_than(best):
-                best = sol
+        if sol.better_than(best):
+            best = sol
+        c = Fraction(len(sol.S), len(sol.T))
         return min(a, c), max(a, c)
 
     # every argmax ratio lies in [a_min, a_max], so these two solves settle
@@ -238,8 +252,10 @@ def core_exact(edges) -> DDSResult:
     δ = ``_PROBE_DELTA``, rounded down to a Fraction (`_level`). Every
     probe ends with an exact upper bound F_ub² ≥ F(a)²:
 
-    - solved (min-cut finds a pair above λ): Dinkelbach runs to the
-      F(a)-argmax (S, T), and F_ub² = F(a)² = ρ_a(S,T)²;
+    - solved (the level-core's own μ or a min cut is above λ): Dinkelbach
+      runs to the F(a)-argmax (S, T), and F_ub² = F(a)² = ρ_a(S,T)². A
+      core whose μ is above λ lifts λ to it and is pruned again, so a
+      flow network is built only on a core whose μ is at most λ;
     - failed (empty level-core, or no pair above λ): F(a) ≤ 2√(ij)·λ, so
       F_ub² = 4ij·λ².
 
@@ -264,7 +280,8 @@ def core_exact(edges) -> DDSResult:
         "ratios_solved": 0,
         "ratios_skipped_empty_core": 0,
         "core_probes_exact": 0,
-        "cuts": 0, "max_flow_nodes": 0, "core_sizes": [],  # also when no ratio is solved
+        "cuts": 0, "lifts": 0, "max_flow_nodes": 0,
+        "core_sizes": [],  # also when no ratio is solved
         "approx_rho": 0.0, "approx_core_probes": 0,
     }
     edges = to_driver(edges)

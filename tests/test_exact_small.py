@@ -11,6 +11,7 @@ from repro.core import exact
 from repro.core.approx import bs_approx, core_approx, ks_approx
 from repro.core.bruteforce import brute_force_dds
 from repro.core.density import skewed2_frac
+from repro.core.result import DDSResult
 from repro.core.xycore import LocalEngine
 from repro.core.exact import (
     _level,
@@ -189,15 +190,31 @@ def test_core_exact_probes_lie_above_the_base_floor(name, monkeypatch):
 def test_m_plant_search_counters():
     """On m-plant, the graph of the gated exact-planted workload, Core-Approx
     needs at most half of the 128 core probes it made with no product floor,
-    and Core-Exact's flow work is what it was without the floor."""
+    and Core-Exact's flow work is what it was without the floor, less the
+    cuts that only rediscovered the level-core: each solved ratio's core is
+    lifted to, and one cut confirms it."""
     e = datasets.load_local("m-plant")
     assert core_approx(e).stats["core_probes"] <= 64
     st = core_exact(e).stats
-    assert st["cuts"] == 7
+    assert st["cuts"] == 4
+    assert st["cuts"] == st["ratios_solved"]
     assert st["ratios_solved"] == 4
     assert st["ratios_skipped_empty_core"] == 9
     assert st["max_flow_nodes"] == 102
     assert st["core_sizes"] == [1921] * 7
+
+
+def test_core_exact_lifts_to_a_planted_block_and_cuts_once():
+    """A complete 6×9 block in sparse noise: every solved ratio's level-core
+    is lifted to, and its one cut only confirms that nothing lies above."""
+    e = gen.planted_dds(100, 80, s_size=6, t_size=9, p_block=1.0, seed=2)
+    r = core_exact(e)
+    st = r.stats
+    assert st["ratios_solved"] > 0
+    assert st["cuts"] == st["ratios_solved"]
+    assert st["lifts"] == st["ratios_solved"]
+    assert r.S.tolist() == list(range(6)) and r.T.tolist() == list(range(91, 100))
+    assert r.edges_st == 54
 
 
 # --- subroutine-level tests -------------------------------------------------
@@ -295,6 +312,40 @@ def test_solve_ratio_bound_at_each_probe_level(seed, i, j, prune_cores):
         else:
             assert skewed2_frac(sol.edges_st, len(sol.S), len(sol.T), i, j) == f2
             assert sol.edges_st == e.edges_between(sol.S, sol.T)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (1, 3)])
+def test_each_lift_is_a_pair_above_the_level(seed, i, j, monkeypatch):
+    """Every lift makes a pair the incumbent and raises λ to exactly that
+    pair's μ, recounted on the input; the levels strictly increase."""
+    e = _random_tiny(seed + 700)
+    events = []  # ("level", λ) at each prune, ("lift", pair) at each lift
+    real_thresholds, real_of_edges = exact._thresholds, DDSResult.of_edges
+
+    def thresholds(lam, i_, j_):
+        events.append(("level", lam))
+        return real_thresholds(lam, i_, j_)
+
+    def of_edges(cls, c, st):
+        pair = real_of_edges(c, st)
+        events.append(("lift", pair))
+        return pair
+
+    monkeypatch.setattr(exact, "_thresholds", thresholds)
+    monkeypatch.setattr(DDSResult, "of_edges", classmethod(of_edges))
+    stats = {}
+    sol = solve_ratio(e, i, j, Fraction(0), prune_cores=True, stats=stats)
+    levels = [v for kind, v in events if kind == "level"]
+    assert levels == sorted(set(levels))  # strictly increasing
+    lifts = [k for k, (kind, _) in enumerate(events) if kind == "lift"]
+    assert len(lifts) == stats["lifts"] >= 1  # from level 0 the whole graph lifts
+    for k in lifts:
+        pair = events[k][1]
+        mu = Fraction(e.edges_between(pair.S, pair.T), j * len(pair.S) + i * len(pair.T))
+        assert pair.edges_st == e.edges_between(pair.S, pair.T)
+        assert events[k + 1] == ("level", mu)  # the next prune is at its μ
+    assert sol is not None
 
 
 def _repeated_edges():

@@ -70,6 +70,7 @@ def test_table_pruning():
         assert r["ratios_solved"] + r["ratios_skipped"] < r["candidate_ratios"]
         assert 0 < r["shrink"] <= 1.0
         assert r["flow_nodes_max"] <= r["flow_nodes_full"]
+        assert r["lifts"] > 0  # each set has a solved ratio whose core lifts λ
         assert r["core_s"] >= 0
 
 
