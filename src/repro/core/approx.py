@@ -75,6 +75,8 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
     caller that has already entered and counted ``edges`` (Core-Exact)
     passes its edge count ``m``, so a DataFrame above the budget is not
     headed a second time. Duplicate edges are rejected once on the driver.
+    The winning core reaches the driver once, on return: above the budget
+    each incumbent stays a Spark state until it is known to win.
     """
     edges = to_driver(edges, m)
     check_no_duplicates(edges)
@@ -82,7 +84,7 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub, y_ub = eng.max_out_degree(edges), eng.max_in_degree(edges)
     star = max(x_ub, y_ub) - 1  # a star core beats this
-    best = (0, 0, empty_edges())  # (x, y, core)
+    best = (0, 0, empty_edges())  # (x, y, core as engine state)
     ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x), or a bound on it
     bases: dict = {}  # evaluated x -> its product core (engine state)
 
@@ -96,7 +98,7 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
         stats["x_evaluated"] += 1
         ymax_at[x] = y
         if core is not None:  # x·y beats the floor, so the best product too
-            best = (x, y, to_local(core))
+            best = (x, y, core)
         if eng.m(bases[x]) == 0:  # it holds every core at x' ≥ x above the floor
             x_ub = x - 1
         return x <= x_ub
@@ -120,7 +122,7 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
             prev = x
     x, y, core = best
     stats.update({"x": x, "y": y, "xy": x * y})
-    return DDSResult.of_edges(core, stats)
+    return DDSResult.of_edges(to_local(core), stats)
 
 
 # ---------------------------------------------------------------------------

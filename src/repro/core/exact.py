@@ -8,7 +8,8 @@ increase, so it terminates at F(a) = max ρ_a together with an argmax
 pair. A level comes from a min cut or, for free, from the μ of the graph
 the step would cut (a pruned core, or the whole graph) whenever that is
 higher; each solve still ends with a cut that finds nothing above λ.
-DC-Exact solves from level 0, so its first level is the whole graph's μ.
+DC-Exact solves from level 0, so its first level is the whole graph's μ
+and every solve returns a pair.
 The algorithms differ *only* in how much of the candidate-ratio
 space they solve and on how small a subgraph each flow network is built —
 exactly the axes of the paper's contribution:
@@ -25,7 +26,9 @@ exactly the axes of the paper's contribution:
   the whole closed ratio interval [min(a,c), max(a,c)].
 
 - ``core_exact``: DC plus the paper's core optimizations: ρ_best is
-  seeded by Core-Approx (≥ ρ_opt/2); any h-argmax at level λ lives in
+  seeded by Core-Approx alone (≥ ρ_opt/2; a denser full pair is found
+  like any other, for free by a lift when a probe's level-core is the
+  whole graph); any h-argmax at level λ lives in
   the [⌈λj⌉, ⌈λi⌉]-core (removing a lower-degree vertex from an argmax
   would strictly raise h), so each ratio's network is built only on that
   core, the core is re-shrunk as Dinkelbach's level grows, and a ratio
@@ -49,7 +52,7 @@ from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
 from repro.core.xycore import LocalEngine, engine_for, to_driver, to_local
 from repro.flow.network import network_nodes, solve_level
-from repro.graph.local import EdgeArrays, check_no_duplicates, collect_vertices, empty_edges
+from repro.graph.local import EdgeArrays, check_no_duplicates, empty_edges
 
 _ROOT_DIGITS = 2**64  # resolution of a value rounded down from an irrational root
 _PROBE_DELTA = Fraction(1, 5)  # δ: Core-Exact probes each ratio at ρ_best·(1−δ)
@@ -179,7 +182,7 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
     }
     if e.m == 0:
         return DDSResult.of_edges(empty_edges(), stats)
-    best = DDSResult.of_edges(e, {})
+    best: DDSResult | None = None
     ns, nt = e.n_src, e.n_dst
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
@@ -245,8 +248,12 @@ def core_exact(edges) -> DDSResult:
     budget or reaches its fixpoint. Max-flow runs only on the driver, so
     every nonempty probe core is then collected for flow, whatever its
     size: one whose Spark fixpoint ends above the budget is collected
-    whole, the full edge set when the probe prunes no edge. If the full
-    pair wins, only its distinct vertices are collected.
+    whole, the full edge set when the probe prunes no edge.
+
+    ρ_best starts at Core-Approx's pair, with ρ ≥ ρ_opt/2. On near-regular
+    graphs the full pair can be denser; it needs no seed of its own, since
+    a probe whose level-core is the whole graph lifts λ to the full pair's
+    μ with no flow, and the sweep is exact from any seed a pair attains.
 
     Each ratio a = i/j is probed at the μ-level λ of ρ_a = ρ_best·(1−δ),
     δ = ``_PROBE_DELTA``, rounded down to a Fraction (`_level`). Every
@@ -293,14 +300,6 @@ def core_exact(edges) -> DDSResult:
     stats["approx_rho"] = approx.rho
     stats["approx_core_probes"] = approx.stats["core_probes"]
     best: DDSResult = approx
-    # the trivial full pair can beat the max-xy core on near-regular graphs;
-    # a DataFrame hands over its vertices for it, never its edges
-    full_rho2 = Fraction(m * m, ns * nt)
-    if full_rho2 > best.rho2:
-        if isinstance(edges, EdgeArrays):
-            best = DDSResult.of_edges(edges, {})
-        else:
-            best = DDSResult(*collect_vertices(edges), m)
     # one product core holds every probe's core (see the docstring)
     base = eng.core(edges, 1, 1, floor(best.rho2 * (1 - _PROBE_DELTA) ** 2 / 4) - 1)
     stats["core_probes_exact"] += 1

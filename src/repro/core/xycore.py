@@ -49,8 +49,6 @@ from repro.graph.schema import DST, SRC
 # 16 MB, and a numpy fixpoint round over them is cheaper than one Spark
 # round of job latency. DataFrame rounds run only above it.
 DRIVER_EDGE_BUDGET = 1_000_000
-# Cap on Spark rounds per fixpoint; each round but the last removes edges.
-MAX_DF_ROUNDS = 10_000
 
 # ---------------------------------------------------------------------------
 # one degree-filter round, and the engines built on it
@@ -132,7 +130,7 @@ class DataFrameEngine(LocalEngine):
         if isinstance(state, EdgeArrays):
             return super().core(state, x, y, floor)
         m = self.m(state)
-        for _ in range(MAX_DF_ROUNDS):
+        while True:  # each round that does not return removes edges
             if m == 0:
                 return state
             if m <= DRIVER_EDGE_BUDGET:
@@ -141,7 +139,6 @@ class DataFrameEngine(LocalEngine):
             m = self.m(state)
             if m == m_prev:
                 return state
-        raise RuntimeError("xy-core fixpoint did not converge (impossible)")
 
     def m(self, state) -> int:
         if isinstance(state, EdgeArrays):

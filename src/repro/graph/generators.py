@@ -34,8 +34,9 @@ def _dedup_pairs(src: np.ndarray, dst: np.ndarray) -> EdgeArrays:
     return dedup(EdgeArrays(src.astype(np.int64), dst.astype(np.int64)))
 
 
-def er_directed(n: int, m: int, *, seed: int = 0, self_loops: bool = False) -> EdgeArrays:
-    """Directed Erdős–Rényi-style graph: ``~m`` uniform random edges.
+def er_directed(n: int, m: int, *, seed: int = 0) -> EdgeArrays:
+    """Directed Erdős–Rényi-style graph: ``~m`` uniform random edges, no
+    self-loops.
 
     Sampling is with replacement followed by dedup, so the realized edge
     count is slightly below ``m`` at high density — irrelevant for the
@@ -44,20 +45,13 @@ def er_directed(n: int, m: int, *, seed: int = 0, self_loops: bool = False) -> E
     g = _rng(seed)
     src = g.integers(0, n, m)
     dst = g.integers(0, n, m)
-    if not self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    return _dedup_pairs(src, dst)
+    keep = src != dst
+    return _dedup_pairs(src[keep], dst[keep])
 
 
-def powerlaw_directed(
-    n: int,
-    m: int,
-    *,
-    seed: int = 0,
-    self_loops: bool = False,
-) -> EdgeArrays:
-    """Directed Chung–Lu graph: endpoint ``i`` drawn ∝ ``(i+1)^(-1/(α-1))``.
+def powerlaw_directed(n: int, m: int, *, seed: int = 0) -> EdgeArrays:
+    """Directed Chung–Lu graph: endpoint ``i`` drawn ∝ ``(i+1)^(-1/(α-1))``,
+    no self-loops.
 
     Produces power-law in/out degree distributions with exponent
     ``α = POWERLAW_ALPHA`` on both sides, matching the skew regime of the
@@ -71,10 +65,8 @@ def powerlaw_directed(
     # decorrelate the two hubs so the graph is not trivially one block
     perm = g.permutation(n)
     dst = perm[dst]
-    if not self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    return _dedup_pairs(src, dst)
+    keep = src != dst
+    return _dedup_pairs(src[keep], dst[keep])
 
 
 def planted_dds(

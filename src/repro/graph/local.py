@@ -14,10 +14,9 @@ needs one id per vertex present (a flow network, the KS-Approx peel, a
 result's S and T) calls ``compact``: a ``bincount`` and a ``cumsum`` remap.
 Neither sorts, and labels are never rewritten.
 
-An edge DataFrame's edges reach the driver only through ``collect_edges``
-(and a Core-Exact full pair's vertices through ``collect_vertices``). Both
-read in one task wave, at most one task per core (``defaultParallelism``)
-however many partitions the input has, and turn Arrow's columns into int64
+Graph rows reach the driver from Spark only through ``collect_edges``. It
+reads in one task wave, at most one task per core (``defaultParallelism``)
+however many partitions the input has, and turns Arrow's columns into int64
 numpy arrays with no pandas frame between. Those arrays may be read-only,
 so no code writes into an ``EdgeArrays``' arrays.
 """
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.schema import DST, SRC
 
@@ -176,35 +174,16 @@ def check_no_duplicates(edges) -> None:
         raise ValueError("duplicate (src, dst) edges; remove them with dedup()")
 
 
-def _arrow_int64(df: DataFrame, limit: int | None = None) -> list[np.ndarray]:
-    """``df``'s columns on the driver as int64 arrays.
-
-    The rows are read in one task wave: ``coalesce`` merges the input's
-    partitions into at most ``defaultParallelism`` tasks (one per core), and
-    the ``limit``, if any, applies after it. They go from Arrow straight to
-    numpy, with no pandas frame between; the arrays may be read-only.
-    """
-    df = df.coalesce(df.sparkSession.sparkContext.defaultParallelism)
-    tbl = (df if limit is None else df.limit(limit)).toArrow()
-    return [col.to_numpy().astype(np.int64, copy=False) for col in tbl.columns]
-
-
 def collect_edges(edges: DataFrame, limit: int | None = None) -> EdgeArrays:
     """Mirror an edge DataFrame to the driver in one Spark job; with
     ``limit``, only ``limit`` of its rows (all of them if it has fewer).
-    Every Spark→driver handoff of an edge set is this call."""
-    return EdgeArrays(*_arrow_int64(edges.select(SRC, DST), limit))
 
-
-def collect_vertices(edges: DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sources and the distinct destinations of an edge
-    DataFrame, each sorted: n_src + n_dst rows reach the driver, never the
-    edges."""
-    both = edges.select(F.col(SRC).alias("v"), F.lit(0).alias("side")).union(
-        edges.select(F.col(DST).alias("v"), F.lit(1).alias("side"))
-    )
-    v, side = _arrow_int64(both.distinct())
-    out = np.sort(v[side == 0]), np.sort(v[side == 1])
-    for labels in out:
-        labels.flags.writeable = False  # as ``DenseIds`` labels: results hand them out
-    return out
+    This is the one Spark→driver transfer of graph rows. They are read in
+    one task wave: ``coalesce`` merges the input's partitions into at most
+    ``defaultParallelism`` tasks (one per core), and the ``limit``, if any,
+    applies after it. They go from Arrow straight to numpy, with no pandas
+    frame between; the arrays may be read-only.
+    """
+    df = edges.select(SRC, DST).coalesce(edges.sparkSession.sparkContext.defaultParallelism)
+    tbl = (df if limit is None else df.limit(limit)).toArrow()
+    return EdgeArrays(*(col.to_numpy().astype(np.int64, copy=False) for col in tbl.columns))

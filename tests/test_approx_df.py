@@ -1,12 +1,12 @@
 """The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs,
 and the entry handoff: how many Spark jobs and collects reach the driver."""
 import uuid
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.core import exact, xycore
+from repro import datasets
+from repro.core import xycore
 from repro.core.approx import bs_approx, core_approx
 from repro.core.exact import core_exact
 from repro.core.xycore import LocalEngine
@@ -161,12 +161,20 @@ def collects(monkeypatch):
     return log
 
 
-def test_core_exact_heads_once_above_budget(spark, monkeypatch, collects):
+@pytest.mark.parametrize(
+    "n,m,seed,full_pair",
+    [(10, 30, 5, False), (8, 30, 2, True)],
+    ids=["er-10-30-5", "full-pair-8-30-2"],
+)
+def test_core_exact_heads_once_above_budget(spark, monkeypatch, collects, n, m, seed, full_pair):
     """Above the budget, Core-Exact collects one bounded head on entry and
-    hands Core-Approx the state it has entered, not the input again."""
-    local = gen.er_directed(10, 30, seed=5)
+    hands Core-Approx the state it has entered, not the input again. The
+    second graph's densest pair is the full pair, which beats Core-Approx:
+    it is still the answer with no seed of its own."""
+    local = gen.er_directed(n, m, seed=seed)
     df = gen.to_spark(spark, local).cache()
     want = core_exact(local)
+    assert (want.edges_st == local.m) == full_pair
     monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m - 1)
     got = core_exact(df)
     assert [limit for _, limit, _ in collects if limit is not None] == [local.m]
@@ -174,30 +182,20 @@ def test_core_exact_heads_once_above_budget(spark, monkeypatch, collects):
     assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
 
 
-def test_core_exact_full_pair_collects_vertices_only(spark, monkeypatch, collects):
-    """When the full pair beats Core-Approx above the budget, its S and T
-    are the input's distinct vertices: n_src + n_dst rows. The input itself
-    is collected only as the bounded entry head (a probe core may still
-    span every edge, and is collected for its flow network)."""
-    local = gen.er_directed(8, 30, seed=2)
-    assert Fraction(local.m**2, local.n_src * local.n_dst) > core_approx(local).rho2
+def test_core_approx_collects_its_core_once(spark, spark_only, collects):
+    """With every round on Spark, Core-Approx keeps each incumbent core as a
+    Spark state and collects only the winner, once, on return."""
+    local = datasets.load_local("xs-pl")
     df = gen.to_spark(spark, local).cache()
-    want = core_exact(local)
-    vertex_rows = []
-    fn = exact.collect_vertices
-
-    def logged(edges):
-        s, t = fn(edges)
-        vertex_rows.append(len(s) + len(t))
-        return s, t
-
-    monkeypatch.setattr(exact, "collect_vertices", logged)
-    monkeypatch.setattr(xycore, "DRIVER_EDGE_BUDGET", local.m - 1)
-    got = core_exact(df)
-    assert vertex_rows == [local.n_src + local.n_dst]
-    assert [limit for edges, limit, _ in collects if edges is df] == [local.m]
-    assert got.rho2 == want.rho2
-    assert got.S.tolist() == want.S.tolist() and got.T.tolist() == want.T.tolist()
+    r = core_approx(df)
+    unbounded = [out for _, limit, out in collects if limit is None]
+    assert len(unbounded) == 1
+    whole = unbounded[0]
+    want = core_approx(local)
+    assert pairs(whole) == pairs(LocalEngine().core(local, want.stats["x"], want.stats["y"]))
+    assert whole.m == r.edges_st
+    assert np.unique(whole.src).tolist() == r.S.tolist()
+    assert np.unique(whole.dst).tolist() == r.T.tolist()
 
 
 def test_core_exact_collects_probe_cores_above_budget(spark, spark_only, monkeypatch, collects):

@@ -217,6 +217,26 @@ def test_core_exact_lifts_to_a_planted_block_and_cuts_once():
     assert r.edges_st == 54
 
 
+@pytest.mark.parametrize(
+    "name,builder",
+    [
+        ("s-er", lambda: datasets.load_local("s-er")),
+        ("er-8-30-2", lambda: gen.er_directed(8, 30, seed=2)),
+        *[(f"tiny-{s}", lambda s=s: _random_tiny(s)) for s in (3008, 3009, 3012, 3028, 3038)],
+    ],
+)
+def test_core_exact_beats_a_full_pair_seeded_by_core_approx_alone(name, builder):
+    """Where the full pair is denser than Core-Approx's core, Core-Exact,
+    seeded by Core-Approx alone, still returns the optimum, and lifts λ to
+    some level-core's own μ on the way."""
+    e = builder()
+    assert Fraction(e.m**2, e.n_src * e.n_dst) > core_approx(e).rho2
+    r = core_exact(e)
+    want = dc_exact(e) if name == "s-er" else brute_force_dds(e)
+    assert r.rho2 == want.rho2
+    assert r.stats["lifts"] >= 1
+
+
 # --- subroutine-level tests -------------------------------------------------
 
 

@@ -22,11 +22,6 @@ def test_er_no_self_loops_by_default():
     assert not np.any(e.src == e.dst)
 
 
-def test_er_self_loops_opt_in():
-    e = gen.er_directed(10, 500, seed=1, self_loops=True)
-    assert np.any(e.src == e.dst)
-
-
 def test_er_ids_in_range_and_deduped():
     e = gen.er_directed(25, 120, seed=2)
     assert e.src.min() >= 0 and e.src.max() < 25
