@@ -47,20 +47,21 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
 
     Only a product above the floor max(best x·y found, d_out_max − 1,
     d_in_max − 1) can win: the [d_out_max,1]- and [1,d_in_max]-cores
-    contain the stars of the top-degree vertices, so are never empty. Each x is searched with ``y_max_for_x`` at the
-    current floor: it builds the product core that holds every [x,y]-core
-    above the floor and probes only the y above ``floor``//x, so an x that
-    cannot win costs one fixpoint. Below the floor it returns an upper bound
-    on y_max(x) instead, which serves the skip rule as well. An empty
-    product core ends the search: no x' ≥ x can beat the floor, which only
-    rises.
+    contain the stars of the top-degree vertices, so are never empty. Each
+    x is searched with ``y_max_for_x`` at the current floor: it builds the
+    product core that holds every [x,y]-core above the floor and probes
+    only the y above ``floor``//x, so an x that cannot win costs one
+    fixpoint. An empty product core ends the search: no x' ≥ x can beat
+    the floor, which only rises.
 
-    Correctness of the skip rule: ``y_max`` is non-increasing, so for any
-    x' ≥ x_eval, ``x'·y_max(x') ≤ x'·y_max(x_eval)``; an x' is only
-    skipped when that bound cannot beat the floor, and ``y_max(x_eval)``
-    (or its bound) caps the y searched at x'. Geometric seeding
-    (x = 1,2,4,…) establishes a good incumbent early so the ascending scan
-    skips almost everything on skewed graphs. The winning product is at
+    Correctness of the skip rule: the y each evaluated x returns bounds
+    the y' of every [x',y']-core with x' ≥ x that beats the floor then, so
+    also a later, higher one; below the floor it is at most the product
+    core's max in-degree, not y_max(x). An x' is only skipped when x' times
+    that bound cannot beat the floor, and the bound caps (and so passes on
+    to) the y searched at x'. Geometric seeding (x = 1,2,4,…) establishes
+    a good incumbent early so the ascending scan skips almost everything on
+    skewed graphs. The winning product is at
     least the larger star's and beats every incumbent before it, so it is
     above the floor whenever the search reaches the winning x: that x is
     neither skipped nor cut off, its y_max is found exactly, and a later x

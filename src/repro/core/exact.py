@@ -242,13 +242,13 @@ def core_exact(edges) -> DDSResult:
 
     ``edges`` may be an EdgeArrays or an edge DataFrame. A DataFrame
     within ``DRIVER_EDGE_BUDGET`` edges is collected to the driver once on
-    entry, and everything after runs locally. A larger one stays on Spark:
-    its entry head is collected once (Core-Approx gets the counted state),
-    and each core probe runs Catalyst rounds until its core is within the
-    budget or reaches its fixpoint. Max-flow runs only on the driver, so
-    every nonempty probe core is then collected for flow, whatever its
-    size: one whose Spark fixpoint ends above the budget is collected
-    whole, the full edge set when the probe prunes no edge.
+    entry, and everything after runs locally. A larger one stays on Spark
+    for three steps: its entry head (Core-Approx gets the counted state),
+    Core-Approx, and the product core below, whose Catalyst rounds run
+    until it is within the budget or reaches its fixpoint. The product
+    core is then collected once, whatever its size, and every probe,
+    prune and cut after that runs on the driver: max-flow needs every
+    nonempty probe core there, and all of them lie inside it.
 
     ρ_best starts at Core-Approx's pair, with ρ ≥ ρ_opt/2. On near-regular
     graphs the full pair can be denser; it needs no seed of its own, since
@@ -301,7 +301,7 @@ def core_exact(edges) -> DDSResult:
     stats["approx_core_probes"] = approx.stats["core_probes"]
     best: DDSResult = approx
     # one product core holds every probe's core (see the docstring)
-    base = eng.core(edges, 1, 1, floor(best.rho2 * (1 - _PROBE_DELTA) ** 2 / 4) - 1)
+    base = to_local(eng.core(edges, 1, 1, floor(best.rho2 * (1 - _PROBE_DELTA) ** 2 / 4) - 1))
     stats["core_probes_exact"] += 1
 
     def settle(a: Fraction) -> tuple[Fraction, Fraction]:
@@ -310,14 +310,13 @@ def core_exact(edges) -> DDSResult:
         i, j = a.numerator, a.denominator
         lam_probe = _level(best.rho2 * (1 - _PROBE_DELTA) ** 2, i, j)
         x, y = _thresholds(lam_probe, i, j)
-        core_state = eng.core(base, x, y)
+        core = LocalEngine().core(base, x, y)
         stats["core_probes_exact"] += 1
         sol = None
-        if eng.m(core_state) == 0:
+        if core.m == 0:
             stats["ratios_skipped_empty_core"] += 1
         else:
-            local = to_local(core_state)
-            sol = solve_ratio(local, i, j, lam_probe, prune_cores=True, stats=stats)
+            sol = solve_ratio(core, i, j, lam_probe, prune_cores=True, stats=stats)
             stats["ratios_solved"] += 1
         if sol is None:
             c, f_ub2 = a, 4 * i * j * lam_probe**2

@@ -199,17 +199,18 @@ def to_driver(edges, m: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict, floor: int = 0,
-                y_hi: int | None = None):
+def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict, floor: int, y_hi: int):
     """y_max(x), the largest y with a nonempty [x,y]-core, if x·y_max(x)
     exceeds ``floor``; the search's cores are engine states, and each core
-    probe adds one to ``st["core_probes"]``.
+    probe adds one to ``st["core_probes"]``. ``y_hi`` must be at least
+    y_max(x) when x·y_max(x) exceeds ``floor``.
 
     Returns ``(y, core, base)``. ``base`` is the product core of ``edges``
-    at (x, 1, ``floor``), which holds every [x,y]-core with x·y > ``floor``.
-    When x·y_max(x) > ``floor``, ``y`` is y_max(x) and ``core`` its core;
-    otherwise ``y`` is min(``floor``//x, ``y_hi``), an upper bound on
-    y_max(x), and ``core`` is None. ``y_hi``, if given, must bound y_max(x).
+    at (x, 1, ``floor``), which holds every [x′,y′]-core with x′ ≥ x and
+    x′·y′ > ``floor``; ``y`` bounds the y′ of each such core with y′ ≤
+    ``y_hi``. When x·y_max(x) > ``floor``, ``y`` is y_max(x) and ``core``
+    its core; otherwise ``core`` is None and ``y`` is the least of
+    ``floor``//x, ``y_hi`` and ``base``'s max in-degree, not always ≥ y_max(x).
 
     Binary search on y over the nested family ``[x,y]-core ⊆ [x,y-1]-core``,
     only over the y in (``floor``//x, min(max in-degree, ``y_hi``)], where
@@ -219,10 +220,8 @@ def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict, floor: int = 0,
     """
     base = eng.core(edges, x, 1, floor)
     st["core_probes"] += 1
-    lo = floor // x  # no y up to here beats the floor
-    hi = eng.max_in_degree(base)  # [x,y]-core empty for y > max in-degree
-    if y_hi is not None:
-        lo, hi = min(lo, y_hi), min(hi, y_hi)
+    lo = min(floor // x, y_hi)  # no y up to floor//x beats the floor
+    hi = min(eng.max_in_degree(base), y_hi)  # [x,y]-core empty for y > max in-degree
     lo_core = None  # once set: the nonempty [x,lo]-core
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -232,4 +231,4 @@ def y_max_for_x(edges, x: int, eng: LocalEngine, st: dict, floor: int = 0,
             hi = mid - 1
         else:
             lo, lo_core = mid, probe
-    return lo, lo_core, base
+    return min(lo, hi), lo_core, base

@@ -1,6 +1,8 @@
 """The DDS algorithms on edge DataFrames: parity with their EdgeArrays runs,
 and the entry handoff: how many Spark jobs and collects reach the driver."""
 import uuid
+from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -198,33 +200,29 @@ def test_core_approx_collects_its_core_once(spark, spark_only, collects):
     assert np.unique(whole.dst).tolist() == r.T.tolist()
 
 
-def test_core_exact_collects_probe_cores_above_budget(spark, spark_only, monkeypatch, collects):
-    """Flow runs only on the driver, so with every round on Spark each
-    nonempty probe core is collected whole, whatever its size. Each
-    unbounded collect returns exactly the rows of a core the Spark fixpoint
-    returned, which is the input's [x,y]-core (or product core, at the
-    fixpoint's floor); pruning makes some of them smaller than the input,
-    and the answer is the local run's."""
+def test_core_exact_collects_its_product_core_once_above_budget(
+    spark, spark_only, count_calls, collects
+):
+    """With every round on Spark, Core-Exact's Spark phase ends at its
+    product core. It makes two unbounded collects, Core-Approx's winning
+    core and then the product core at floor F = ⌊ρ_approx²·(4/5)²/4⌋ − 1,
+    and every probe, prune and cut after them runs on the driver."""
     local = gen.er_directed(10, 30, seed=5)
     df = gen.to_spark(spark, local).cache()
     want = core_exact(local)
-    cores = []  # (DataFrame core returned, the local core at the same x, y, floor)
-    fn = xycore.DataFrameEngine.core
-
-    def logged(self, state, x, y, floor=0):
-        out = fn(self, state, x, y, floor)
-        cores.append((out, LocalEngine().core(local, x, y, floor)))
-        return out
-
-    monkeypatch.setattr(xycore.DataFrameEngine, "core", logged)
+    approx = core_approx(local)
+    cores = count_calls(xycore.DataFrameEngine, "core")
     got = core_exact(df)
-    whole = [(edges, out) for edges, limit, out in collects if limit is None]
-    assert whole
-    for edges, out in whole:
-        twin = next(c for d, c in cores if d is edges)
-        assert pairs(out) == sorted(map(tuple, edges.collect())) == pairs(twin)
-    assert min(out.m for _, out in whole) < local.m
+    whole = [out for _, limit, out in collects if limit is None]
+    assert len(whole) == 2
+    winner, product = whole
+    assert np.unique(winner.src).tolist() == approx.S.tolist()
+    assert np.unique(winner.dst).tolist() == approx.T.tolist()
+    f = floor(approx.rho2 * Fraction(4, 5) ** 2 / 4) - 1
+    assert pairs(product) == pairs(LocalEngine().core(local, 1, 1, f))
+    assert cores[0] == got.stats["approx_core_probes"] + 1
     assert (got.rho2, got.S.tolist(), got.T.tolist()) == (want.rho2, want.S.tolist(), want.T.tolist())
+    assert got.stats == want.stats
 
 
 def test_core_exact_df_parity(spark, graph_pair):

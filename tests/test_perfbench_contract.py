@@ -24,8 +24,9 @@ MODULES = {"core_exact": exact, "core_approx": approx}
 
 
 @pytest.mark.parametrize("algo", sorted(MODULES))
-# s-er skips ratios; m-plant is the graph of the gated exact-planted workload
-@pytest.mark.parametrize("name", ["xs-er", "xs-plant", "s-er", "m-plant"])
+# s-er skips ratios; m-plant is the graph of the gated exact-planted workload;
+# xs-pl is a hub graph, where Core-Approx skips most x below the floor
+@pytest.mark.parametrize("name", ["xs-er", "xs-plant", "s-er", "m-plant", "xs-pl"])
 def test_trace_matches_algorithm_counters(name, algo):
     e = datasets.load_local(name)
     with Tracer().patched() as tr:

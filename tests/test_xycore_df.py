@@ -76,8 +76,8 @@ def test_df_engine_degree_bounds_zero_on_empty(spark, graph_pair):
 def test_y_max_parity(spark, graph_pair, x):
     local, df = graph_pair
     st_l, st_d = {"core_probes": 0}, {"core_probes": 0}
-    y_l, core_l, _ = y_max_for_x(local, x, LocalEngine(), st_l)
-    y_d, core_d, _ = y_max_for_x(df, x, DataFrameEngine(), st_d)
+    y_l, core_l, _ = y_max_for_x(local, x, LocalEngine(), st_l, 0, local.m)
+    y_d, core_d, _ = y_max_for_x(df, x, DataFrameEngine(), st_d, 0, local.m)
     assert (y_l, st_l) == (y_d, st_d)
     assert _pairs(core_l) == _pairs(to_local(core_d))
 

@@ -10,7 +10,7 @@ from repro.graph.local import EdgeArrays
 
 def _y_max_core(e, x):
     """y_max(x) and its [x, y_max(x)]-core, on the local engine."""
-    y, core, _ = y_max_for_x(e, x, LocalEngine(), {"core_probes": 0})
+    y, core, _ = y_max_for_x(e, x, LocalEngine(), {"core_probes": 0}, 0, e.m)
     return y, core
 
 
@@ -211,15 +211,21 @@ def test_product_core_holds_every_core_above_the_floor(seed):
 def test_y_max_for_x_above_and_below_the_floor(seed):
     e = _tiny_graph(seed)
     eng = LocalEngine()
+    nonempty = [(x2, y2) for x2 in range(1, e.m + 1) for y2 in range(1, e.m + 1)
+                if eng.core(e, x2, y2).m]
     for x in range(1, 4):
         y_true = _true_y_max(e, x)
         for floor in FLOORS:
-            for y_hi in (None, y_true, y_true + 2):
+            for y_hi in (e.m, y_true, y_true + 2):
                 st = {"core_probes": 0}
                 y, core, _ = y_max_for_x(e, x, eng, st, floor, y_hi)
                 if x * y_true > floor:
                     assert y == y_true, (x, floor, y_hi)
                     assert _pairs(core) == _pairs(eng.core(e, x, y_true))
                 else:
-                    assert y >= y_true and core is None, (x, floor, y_hi)
+                    assert core is None, (x, floor, y_hi)
+                    # y bounds every core at x' >= x above the floor, up to y_hi
+                    for x2, y2 in nonempty:
+                        if x2 >= x and y2 <= y_hi and x2 * y2 > floor:
+                            assert y2 <= y, (x, floor, y_hi, x2, y2)
                 assert st["core_probes"] >= 1
