@@ -56,12 +56,12 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
 
     Correctness of the skip rule: the y each evaluated x returns bounds
     the y' of every [x',y']-core with x' ≥ x that beats the floor then, so
-    also a later, higher one; below the floor it is at most the product
-    core's max in-degree, not y_max(x). An x' is only skipped when x' times
-    that bound cannot beat the floor, and the bound caps (and so passes on
-    to) the y searched at x'. Geometric seeding (x = 1,2,4,…) establishes
-    a good incumbent early so the ascending scan skips almost everything on
-    skewed graphs. The winning product is at
+    also a later, higher one; below the floor it is capped by the product
+    core's max in-degree, so it need not bound y_max(x). An x' is only
+    skipped when x' times that bound cannot beat the floor, and the bound
+    caps (and so passes on to) the y searched at x'. Geometric seeding
+    (x = 1,2,4,…) establishes a good incumbent early so the ascending scan
+    skips almost everything on skewed graphs. The winning product is at
     least the larger star's and beats every incumbent before it, so it is
     above the floor whenever the search reaches the winning x: that x is
     neither skipped nor cut off, its y_max is found exactly, and a later x
