@@ -12,17 +12,21 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 # calls per timed table cell; the cell reports their median wall
 TIMED_CALLS = 3
+# spark.sql.shuffle.partitions of the jobs' session (perfbench/run.py uses
+# the same value, so approx-df matches the table jobs)
+SHUFFLE_PARTITIONS = 16
 
 
 def get_spark(app: str) -> SparkSession:
     """Session for standalone (spark-submit / python) execution.
 
-    Mirrors the test fixture's per-session settings; master/memory come
-    from spark-submit or default to local[*].
+    Sets the test fixture's per-session configs, with
+    ``SHUFFLE_PARTITIONS`` shuffle partitions; master/memory come from
+    spark-submit or default to local[*].
     """
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")

@@ -4,12 +4,9 @@
 - :mod:`repro.core.ratios` — the candidate-ratio space ``{i/j}`` and
   searches over it (Farey scan, geometric grids).
 - :mod:`repro.core.xycore` — [x,y]-core fixpoints (DataFrame and local
-  engines), ``y_max(x)`` frontier, exact max-``x·y`` core search.
-- :mod:`repro.core.approx` — Core-Approx (paper, 2-approx), KS-Approx
-  and BS-Approx baselines.
+  engines) and the ``y_max(x)`` search.
+- :mod:`repro.core.approx` — Core-Approx (paper, 2-approx: the exact
+  max-``x·y`` core search), KS-Approx and BS-Approx baselines.
 - :mod:`repro.core.exact` — Exact baseline, DC-Exact, Core-Exact.
 - :mod:`repro.core.bruteforce` — exhaustive ground truth for tiny graphs.
 """
-from repro.core.result import DDSResult
-
-__all__ = ["DDSResult"]

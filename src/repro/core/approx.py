@@ -47,37 +47,41 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
 
     Only a product above the floor max(best x·y found, d_out_max − 1,
     d_in_max − 1) can win: the [d_out_max,1]- and [1,d_in_max]-cores
-    contain the stars of the top-degree vertices, so are never empty. Each
-    x is searched with ``y_max_for_x`` at the current floor: it builds the
-    product core that holds every [x,y]-core above the floor and probes
-    only the y above ``floor``//x, so an x that cannot win costs one
-    fixpoint. An empty product core ends the search: no x' ≥ x can beat
-    the floor, which only rises.
+    contain the stars of the top-degree vertices, so are never empty. Every
+    x is visited by one rule, geometric seeds (x = 1,2,4,…) first to set a
+    good incumbent early, then the rest ascending. A visit reads the y
+    bound and product core recorded for x's predecessor (x//2 for a seed,
+    x − 1 in the scan) and skips x when x times that bound cannot beat the
+    floor. Otherwise ``y_max_for_x`` searches x at the current floor from
+    that core: it builds the product core holding every [x,y]-core above
+    the floor and probes only the y above ``floor``//x, so an x that cannot
+    win costs one fixpoint. An empty product core ends the search: no
+    x' ≥ x can beat the floor, which only rises.
 
-    Correctness of the skip rule: the y each evaluated x returns bounds
-    the y' of every [x',y']-core with x' ≥ x that beats the floor then, so
-    also a later, higher one; below the floor it is capped by the product
-    core's max in-degree, so it need not bound y_max(x). An x' is only
-    skipped when x' times that bound cannot beat the floor, and the bound
-    caps (and so passes on to) the y searched at x'. Geometric seeding
-    (x = 1,2,4,…) establishes a good incumbent early so the ascending scan
-    skips almost everything on skewed graphs. The winning product is at
-    least the larger star's and beats every incumbent before it, so it is
-    above the floor whenever the search reaches the winning x: that x is
-    neither skipped nor cut off, its y_max is found exactly, and a later x
-    only replaces it with a larger product. The winning (x, y) and its core
-    are those of the same search without a floor.
+    Correctness of the skip rule: the y a searched x returns bounds the y'
+    of every [x',y']-core with x' ≥ x that beats the floor then, so also a
+    later, higher one; below the floor it is capped by the product core's
+    max in-degree, so it need not bound y_max(x). A skipped x inherits its
+    predecessor's bound and product core, which still bound and hold every
+    such core at x' ≥ x. So an x' is only skipped when no core at x' can
+    beat the floor, and the bound caps (and so passes on to) the y
+    searched at x'. The winning product is at least the larger star's and
+    beats every incumbent before it, so it is above the floor whenever the
+    search reaches the winning x: that x is neither skipped nor cut off,
+    its y_max is found exactly, and a later x only replaces it with a
+    larger product. The winning (x, y) and its core are those of the same
+    search without a floor.
 
     The product cores nest (the one at x with a higher floor lies inside
     the one at any x' < x, and the maximal core of any superset of it is
-    itself), so each x is searched from the base of the largest evaluated
-    x' < x, not the full graph. A DataFrame input within
-    ``DRIVER_EDGE_BUDGET`` is collected once on entry (``to_driver``); a
-    caller that has already entered and counted ``edges`` (Core-Exact)
-    passes its edge count ``m``, so a DataFrame above the budget is not
-    headed a second time. Duplicate edges are rejected once on the driver.
-    The winning core reaches the driver once, on return: above the budget
-    each incumbent stays a Spark state until it is known to win.
+    itself), so a search from the predecessor's core finds what one from
+    the full graph would. A DataFrame input within ``DRIVER_EDGE_BUDGET``
+    is collected once on entry (``to_driver``); a caller that has already
+    entered and counted ``edges`` (Core-Exact) passes its edge count ``m``,
+    so a DataFrame above the budget is not headed a second time. Duplicate
+    edges are rejected once on the driver. The winning core reaches the
+    driver once, on return: above the budget each incumbent stays a Spark
+    state until it is known to win.
     """
     edges = to_driver(edges, m)
     check_no_duplicates(edges)
@@ -86,41 +90,33 @@ def core_approx(edges, m: int | None = None) -> DDSResult:
     x_ub, y_ub = eng.max_out_degree(edges), eng.max_in_degree(edges)
     star = max(x_ub, y_ub) - 1  # a star core beats this
     best = (0, 0, empty_edges())  # (x, y, core as engine state)
-    ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x), or a bound on it
-    bases: dict = {}  # evaluated x -> its product core (engine state)
+    seen: dict = {0: (y_ub, edges)}  # visited x -> (y bound, product core)
 
-    def floor() -> int:
-        return max(best[0] * best[1], star)
-
-    def evaluate(x: int, start, y_hi: int) -> bool:
-        """Search x; False once no x' ≥ x can beat the floor."""
-        nonlocal best, x_ub
-        y, core, bases[x] = y_max_for_x(start, x, eng, stats, floor(), y_hi)
-        stats["x_evaluated"] += 1
-        ymax_at[x] = y
-        if core is not None:  # x·y beats the floor, so the best product too
-            best = (x, y, core)
-        if eng.m(bases[x]) == 0:  # it holds every core at x' ≥ x above the floor
-            x_ub = x - 1
-        return x <= x_ub
-
-    # geometric seeding
-    x, start, y_hi = 1, edges, y_ub
-    while x <= x_ub and evaluate(x, start, y_hi):
-        start, y_hi = bases[x], ymax_at[x]
-        x *= 2
-    # ascending scan with monotone-bound skip; prev is the largest
-    # evaluated x' < x, whose y_max bounds y_max(x) and whose base holds x's
-    prev = 1
-    for x in range(2, x_ub + 1):
-        if x in ymax_at:
-            prev = x
-        elif x * ymax_at[prev] <= floor():
+    def visit(x: int, prev: int) -> bool:
+        """Skip or search x from prev's entry; False once no x' ≥ x can
+        beat the floor."""
+        nonlocal best
+        y, base = seen[prev]
+        floor = max(best[0] * best[1], star)
+        if x * y <= floor:
             stats["x_skipped"] += 1
-        elif not evaluate(x, bases.pop(prev), ymax_at[prev]):
-            break
         else:
-            prev = x
+            y, core, base = y_max_for_x(base, x, eng, stats, floor, y)
+            stats["x_evaluated"] += 1
+            if core is not None:  # x·y beats the floor, so the best product too
+                best = (x, y, core)
+            if eng.m(base) == 0:  # it holds every core at x' ≥ x above the floor
+                return False
+        seen[x] = (y, base)
+        return True
+
+    x = 1
+    while x <= x_ub and visit(x, x // 2):
+        x *= 2
+    for x in range(2, min(x, x_ub + 1)):  # below a seed that ended the search
+        if x not in seen and not visit(x, x - 1):
+            break
+        del seen[x - 1]
     x, y, core = best
     stats.update({"x": x, "y": y, "xy": x * y})
     return DDSResult.of_edges(to_local(core), stats)

@@ -11,7 +11,3 @@ is available offline, so this subpackage implements one from scratch:
 - :mod:`repro.flow.network` — the vertex-only DDS decision network for a
   fixed ratio ``a = i/j`` and rational level ``λ``.
 """
-from repro.flow.dinic import Dinic
-from repro.flow.network import DDSNetwork, build_dds_network, solve_level
-
-__all__ = ["Dinic", "DDSNetwork", "build_dds_network", "solve_level"]

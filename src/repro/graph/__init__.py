@@ -8,13 +8,3 @@ edge DataFrame with long columns ``src`` and ``dst``; every structural
 operation is expressed as aggregations and joins so Catalyst plans
 the whole fixpoint round.
 """
-from repro.graph.schema import SRC, DST, normalize_edges
-from repro.graph.local import EdgeArrays, collect_edges
-
-__all__ = [
-    "SRC",
-    "DST",
-    "normalize_edges",
-    "EdgeArrays",
-    "collect_edges",
-]

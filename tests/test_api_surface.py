@@ -5,7 +5,8 @@ in ``src/``, ``jobs/`` or ``perfbench/`` names apart from its own
 definition exists only for the tests, and is a second entry point to keep
 in step with the first. Names are read from the syntax tree (``Name``,
 ``Attribute`` and import nodes), so a mention in a comment, a docstring or
-a string does not count. The ground-truth oracles are exempt: they exist
+a string does not count, and neither does a package ``__init__.py``: a
+re-export there is not a use. The ground-truth oracles are exempt: they exist
 to check the algorithms, so only tests call them.
 """
 import ast
@@ -41,6 +42,8 @@ def _names_used() -> set[str]:
     used = set()
     for root in USERS:
         for path in root.rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     used.add(node.id)

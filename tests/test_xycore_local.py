@@ -103,14 +103,42 @@ def test_y_max_empty_graph():
     assert y == 0 and core is None  # no core beats the floor 0
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_max_xy_core_is_exact_maximum(seed):
-    """B&B result must equal the brute-force max over all x of x*y_max(x)."""
-    e = gen.er_directed(25, 140, seed=seed + 10)
+def _out_hub():
+    """``er_directed(200, 300, seed=3)`` plus an out-star from vertex 0 to
+    100 new leaves: vertex 0's out-star is the max-x·y core, and its floor
+    d_out_max − 1 cuts off every x > 1 that can only pair with y = 1."""
+    e = gen.er_directed(200, 300, seed=3)
+    star = np.stack([np.zeros(100, np.int64), np.arange(200, 300)], axis=1)
+    pairs = np.unique(np.vstack([np.stack([e.src, e.dst], axis=1), star]), axis=0)
+    return _e(pairs)
+
+
+_GRAPHS = {
+    **{str(s): (lambda s=s: gen.er_directed(25, 140, seed=s + 10)) for s in range(5)},
+    **{f"pl-{s}": (lambda s=s: gen.powerlaw_directed(60, 240, seed=s + 10)) for s in range(5)},
+    "out-hub": _out_hub,
+}
+
+
+@pytest.mark.parametrize("graph", list(_GRAPHS))
+def test_max_xy_core_is_exact_maximum(graph):
+    """B&B result must equal the brute-force max over all x of x*y_max(x),
+    also where the skip rule refuses seeds (the power-law and out-hub
+    graphs)."""
+    e = _GRAPHS[graph]()
     st = core_approx(e).stats
     x_ub = e.out_degree_max()
     brute = max(x * _y_max_core(e, x)[0] for x in range(1, x_ub + 1))
     assert st["x"] * st["y"] == st["xy"] == brute
+
+
+def test_out_hub_seeds_obey_the_skip_rule():
+    """On an out-hub graph a seed that cannot beat the star floor is
+    skipped like any scanned x, so at most three x are searched."""
+    e = _out_hub()
+    st = core_approx(e).stats
+    assert st["xy"] == e.out_degree_max()
+    assert st["x_evaluated"] <= 3
 
 
 def test_max_xy_core_on_planted_block():
