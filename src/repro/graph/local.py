@@ -181,9 +181,12 @@ def collect_edges(edges: DataFrame, limit: int | None = None) -> EdgeArrays:
     This is the one Spark→driver transfer of graph rows. They are read in
     one task wave: ``coalesce`` merges the input's partitions into at most
     ``defaultParallelism`` tasks (one per core), and the ``limit``, if any,
-    applies after it. They go from Arrow straight to numpy, with no pandas
-    frame between; the arrays may be read-only.
+    applies after it. The ``src`` and ``dst`` columns are read off the Arrow
+    table by name, in whatever order the frame holds them, straight to
+    numpy with no pandas frame between; the arrays may be read-only.
     """
-    df = edges.select(SRC, DST).coalesce(edges.sparkSession.sparkContext.defaultParallelism)
+    df = edges.coalesce(edges.sparkSession.sparkContext.defaultParallelism)
     tbl = (df if limit is None else df.limit(limit)).toArrow()
-    return EdgeArrays(*(col.to_numpy().astype(np.int64, copy=False) for col in tbl.columns))
+    return EdgeArrays(
+        *(tbl.column(c).to_numpy().astype(np.int64, copy=False) for c in (SRC, DST))
+    )

@@ -63,6 +63,15 @@ def test_collect_edges_limit(spark, wide_df):
         assert len(set(got)) == len(got) and set(got) <= set(rows)
 
 
+def test_collect_edges_reads_columns_by_name(spark, wide_df):
+    """A frame holding its columns in (dst, src) order gives the same pairs."""
+    df, rows = wide_df
+    swapped = df.select("dst", "src")
+    assert swapped.columns == ["dst", "src"]
+    assert pairs(collect_edges(swapped)) == rows
+    assert len(pairs(collect_edges(swapped, 5))) == 5
+
+
 def test_collect_edges_empty(spark):
     df = gen.to_spark(spark, gen.er_directed(5, 3, seed=1)).filter("src < 0")
     got = collect_edges(df)

@@ -7,6 +7,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core import exact
+from repro.datasets import load_local
 from repro.flow.network import build_dds_network, network_nodes, solve_level
 from repro.graph import generators as gen
 from repro.graph.local import EdgeArrays
@@ -194,7 +196,7 @@ def test_h_matches_networkx_min_cut(seed, i, j, scale):
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
 @pytest.mark.parametrize("scale", SCALES)
 def test_greedy_start_is_a_feasible_flow(seed, i, j, scale):
-    """The flow the greedy first pass writes into a fresh network respects
+    """The start flow the greedy passes write into a fresh network respects
     every arc's capacity, is conserved at every inner node, and has the
     value the network records."""
     e = _oracle_graph(seed)
@@ -218,3 +220,49 @@ def test_greedy_start_is_a_feasible_flow(seed, i, j, scale):
     assert arcs == set(g.edges)
     assert balance[2:] == [0] * (net.dinic.n - 2)
     assert net.greedy_flow == -balance[0] == balance[1]
+
+
+@pytest.fixture(scope="module")
+def m_plant_levels():
+    """The (edges, i, j, λ) of every decision network Core-Exact solves on m-plant."""
+    calls = []
+
+    def record(e, i, j, lam):
+        calls.append((e, i, j, lam))
+        return solve_level(e, i, j, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "solve_level", record)
+        exact.core_exact(load_local("m-plant"))
+    assert len(calls) == 4
+    return calls
+
+
+def _assert_no_short_path(net):
+    """Every path s→u_out→t and s→u_out→v_in→t of the network's start flow
+    holds a saturated arc."""
+    to, cap = net.dinic.to, net.dinic.cap
+    res = {(to[k + 1], to[k]): cap[k] for k in range(0, len(to), 2)}
+    u_nodes = range(2, 2 + len(net.src_labels))
+    short = {u for u in u_nodes if res[0, u] > 0}
+    assert all(res[u, 1] == 0 for u in short)
+    edges = [(u, v) for u, v in res if u in short and v != 1]
+    assert all(res[u, v] == 0 or res[v, 1] == 0 for u, v in edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
+@pytest.mark.parametrize("scale", SCALES)
+def test_start_flow_leaves_no_length3_path(seed, i, j, scale):
+    """The greedy start blocks every augmenting path of three arcs or fewer:
+    for each edge (u,v) whose s→u_out has room, it saturated u_out→v_in or
+    v_in→t (and u_out→t), so Dinic searches only longer paths."""
+    e = _oracle_graph(seed)
+    lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
+    _assert_no_short_path(build_dds_network(e, i, j, lam))
+
+
+@pytest.mark.parametrize("call", range(4))
+def test_start_flow_leaves_no_length3_path_on_m_plant(m_plant_levels, call):
+    """The same on each of the four networks Core-Exact builds on m-plant."""
+    _assert_no_short_path(build_dds_network(*m_plant_levels[call]))
