@@ -27,23 +27,24 @@ of its own. The arcs go to the ``Dinic`` constructor in four plain groups,
 s→u_out, u_out→t, v_in→t and u_out→v_in, each with its capacity and start
 flow; Dinic lays out the residuals.
 
-Before Dinic runs, two greedy passes route a start flow. The first goes
-over the edges in edge order and sends each edge's ``q`` units through
-``u_out→t`` while that arc has room, and the rest through
-``u_out→v_in→t`` while ``v_in→t`` has room. The second visits only the
-edges of each ``u_out`` whose ``s→u_out`` is still short, and sends up to
-its shortfall along them into every ``v_in→t`` with room. Together they
-are a blocking flow on the short paths ``s→u_out→t`` and
-``s→u_out→v_in→t``: each holds a saturated arc. The flow is feasible
-(``s→u_out`` carries exactly what ``u_out``'s arcs route), and on the
-core-pruned networks it is most of the maximum flow. A ``u_out`` whose
-``u_out→t`` has room sent nothing to any ``v_in``, so no augmenting path
-has four arcs either, and Dinic is left only the paths of five arcs or
-more, those that go back along some edge's ``u_out→v_in``. The cut read
-off afterwards is the nodes reachable from ``s`` in the residual graph,
-which Dinic's last BFS labelled: the unique minimal minimum cut, whatever
-flow it was reached from, so ``h``, ``S`` and ``T`` do not depend on the
-greedy start.
+Before Dinic runs, one greedy pass routes a start flow. Each
+``u_out→t`` carries ``min(q*d_out(u), p*j)``; the surplus of ``s→u_out``
+beyond it goes over the edges in edge order, each edge ``(u,v)`` of a
+``u`` with surplus sending ``min(q, surplus, room of v_in→t)`` into
+``v_in``. This is a blocking flow on the short paths ``s→u_out→t`` and
+``s→u_out→v_in→t``, for any edge order: a ``u`` left with surplus has a
+saturated ``u_out→t``, and each of its edges was visited while the
+surplus lasted, so it saturated ``u_out→v_in`` or ``v_in→t``, whose room
+only falls. The flow is feasible (``s→u_out`` carries exactly what
+``u_out``'s arcs route), and on the core-pruned networks it is most of
+the maximum flow. A ``u_out`` whose ``u_out→t`` has room had no surplus
+and sent nothing to any ``v_in``, so no augmenting path has four arcs
+either, and Dinic is left only the paths of five arcs or more, those
+that go back along some edge's ``u_out→v_in``. The cut read off
+afterwards is the nodes reachable from ``s`` in the residual graph,
+which Dinic's last BFS labelled: the unique minimal minimum cut,
+whatever flow it was reached from, so ``h``, ``S`` and ``T`` do not
+depend on the greedy start.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ class DDSNetwork:
 
 def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwork:
     """Build the decision network for the edge set ``e``, carrying the
-    start flow of the two greedy passes (the module docstring).
+    start flow of the one greedy pass (the module docstring).
 
     S-side and T-side candidate sets are the distinct sources and
     destinations of ``e``, in sorted label order; ``e`` may be a core that
@@ -100,58 +101,27 @@ def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwor
     e = e.compact()
     s, t = e.src_ids, e.dst_ids
     ns, nt = s.n, t.n
-    src, dst = s.ids.tolist(), t.ids.tolist()
 
-    # greedy start; capacities may exceed int64, so it runs on Python ints.
-    # First pass, in edge order: each edge's q units through u_out→t while
-    # it has room, the rest through u_out→v_in→t while v_in→t has room
-    u_room = [pj] * ns  # residual of u_out→t
+    # greedy start in one pass; capacities may exceed int64, so it runs on
+    # Python ints. u_out→t takes what it can of s→u_out's capacity; the
+    # surplus goes, in edge order, along u's edges into every v_in→t with room
+    cap_s = [q * d for d in s.degrees().tolist()]  # s→u_out
+    to_t = [min(c, pj) for c in cap_s]  # u_out→t
+    over = [c - f for c, f in zip(cap_s, to_t)]  # surplus u_out→t cannot take
     v_room = [pi] * nt  # residual of v_in→t
     through = [0] * e.m  # flow on each edge's u_out→v_in
-    cap_s = [q * d for d in s.degrees().tolist()]  # s→u_out
-    short = [0] * ns  # residual of s→u_out
-    k = -1
-    for u, v in zip(src, dst):
-        k += 1
-        a = u_room[u]
-        if a >= q:
-            u_room[u] = a - q
-            continue
-        f = q - a
-        b = v_room[v]
-        if a:
-            u_room[u] = 0
-        if f > b:
-            short[u] += f - b
-            f = b
-        if f:
-            v_room[v] = b - f
-            through[k] = f
-    # Second pass, over the edges of each u_out still short (whose u_out→t
-    # the first pass saturated): its edges top up their v_in→t, so every
-    # path s→u_out→v_in→t holds a saturated arc. The edges need not be
-    # sorted by source, so a mask over the source ids picks them
-    if any(short):
-        is_short = np.array([r > 0 for r in short])
-        for k in np.flatnonzero(is_short[s.ids]).tolist():
-            u = src[k]
-            r = short[u]
-            if not r:
-                continue
-            v = dst[k]
+    for k, (u, v) in enumerate(zip(s.ids.tolist(), t.ids.tolist())):
+        r = over[u]
+        if r:
             b = v_room[v]
-            if not b:
-                continue
-            f = q - through[k]
-            if f > r:
-                f = r
+            f = q if q < r else r  # comparisons: min() would cost a call per edge
             if f > b:
                 f = b
             if f:
                 v_room[v] = b - f
-                through[k] += f
-                short[u] = r - f
-    sent = [c - r for c, r in zip(cap_s, short)]  # s→u_out carries what u_out sends on
+                over[u] = r - f
+                through[k] = f
+    sent = [c - r for c, r in zip(cap_s, over)]  # s→u_out carries what u_out sends on
 
     # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in; arcs in
     # four groups: s→u_out and u_out→t per source, v_in→t per destination,
@@ -161,7 +131,7 @@ def build_dds_network(e: EdgeArrays, i: int, j: int, lam: Fraction) -> DDSNetwor
     tail = np.concatenate([np.zeros(ns, dtype=np.int64), u_nodes, v_nodes, s.ids + 2])
     head = np.concatenate([u_nodes, np.ones(ns + nt, dtype=np.int64), t.ids + (2 + ns)])
     cap = cap_s + [pj] * ns + [pi] * nt + [q] * e.m
-    flow = sent + [pj - r for r in u_room] + [pi - r for r in v_room] + through
+    flow = sent + to_t + [pi - r for r in v_room] + through
     net = Dinic(network_nodes(ns, nt), tail, head, cap, flow)
     return DDSNetwork(net, s.labels, t.labels, e.m, q, sum(sent))
 

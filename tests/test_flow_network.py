@@ -196,7 +196,7 @@ def test_h_matches_networkx_min_cut(seed, i, j, scale):
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
 @pytest.mark.parametrize("scale", SCALES)
 def test_greedy_start_is_a_feasible_flow(seed, i, j, scale):
-    """The start flow the greedy passes write into a fresh network respects
+    """The start flow the greedy pass writes into a fresh network respects
     every arc's capacity, is conserved at every inner node, and has the
     value the network records."""
     e = _oracle_graph(seed)
@@ -240,24 +240,39 @@ def m_plant_levels():
 
 def _assert_no_short_path(net):
     """Every path s→u_out→t and s→u_out→v_in→t of the network's start flow
-    holds a saturated arc."""
+    holds a saturated arc, and no path has four arcs: a u_out whose
+    u_out→t has room carries nothing on any u_out→v_in."""
     to, cap = net.dinic.to, net.dinic.cap
     res = {(to[k + 1], to[k]): cap[k] for k in range(0, len(to), 2)}
+    flow = {(to[k + 1], to[k]): cap[k + 1] for k in range(0, len(to), 2)}
     u_nodes = range(2, 2 + len(net.src_labels))
     short = {u for u in u_nodes if res[0, u] > 0}
     assert all(res[u, 1] == 0 for u in short)
     edges = [(u, v) for u, v in res if u in short and v != 1]
     assert all(res[u, v] == 0 or res[v, 1] == 0 for u, v in edges)
+    roomy = {u for u in u_nodes if res[u, 1] > 0}
+    assert all(flow[u, v] == 0 for u, v in flow if u in roomy and v != 1)
 
 
-@pytest.mark.parametrize("seed", range(6))
+# the sorted edge order the generators give, and a seeded permutation of it
+# (edges collected from a DataFrame come in no particular order)
+EDGE_ORDERS = [pytest.param(seed, False, id=str(seed)) for seed in range(6)] + [
+    pytest.param(seed, True, id=f"{seed}-shuffled") for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("seed,shuffled", EDGE_ORDERS)
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (5, 1)])
 @pytest.mark.parametrize("scale", SCALES)
-def test_start_flow_leaves_no_length3_path(seed, i, j, scale):
-    """The greedy start blocks every augmenting path of three arcs or fewer:
+def test_start_flow_leaves_no_length3_path(seed, shuffled, i, j, scale):
+    """The greedy start blocks every augmenting path of four arcs or fewer:
     for each edge (u,v) whose s→u_out has room, it saturated u_out→v_in or
-    v_in→t (and u_out→t), so Dinic searches only longer paths."""
+    v_in→t (and u_out→t), so Dinic searches only longer paths. This holds
+    whatever order the edges come in."""
     e = _oracle_graph(seed)
+    if shuffled:
+        perm = np.random.default_rng(seed).permutation(e.m)
+        e = EdgeArrays(e.src[perm], e.dst[perm])
     lam = scale * Fraction(e.m, j * e.n_src + i * e.n_dst)
     _assert_no_short_path(build_dds_network(e, i, j, lam))
 
